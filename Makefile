@@ -1,9 +1,10 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench bench-smoke trace-smoke serve-smoke metrics-smoke soak router-smoke chaos-soak chaos-bench cache-gate fleet-trace-smoke affinity-bench membership-soak membership-bench slo-smoke slo-bench
+.PHONY: ci vet build test ledger-test race bench bench-smoke trace-smoke serve-smoke metrics-smoke soak router-smoke chaos-soak chaos-bench cache-gate fleet-trace-smoke affinity-bench membership-soak membership-bench slo-smoke slo-bench
 
 # ci is the full verification gate: static analysis, build, the whole test
-# suite, a race-detector pass over the concurrency-bearing packages (the
+# suite, the perf ledger's module tests (which the root `go test ./...` does
+# not reach), a race-detector pass over the concurrency-bearing packages (the
 # portfolio racer, the parallel clause-sharing SAT core, the telemetry
 # recorder, metrics registry and flight recorder, the decision service and
 # the fleet router), a one-shot benchmark smoke run that keeps the bench
@@ -26,7 +27,7 @@ GO ?= go
 # and the SLO smoke (flood a 1-worker sufserved until the latency objective
 # burns, assert the state transition in /metrics + the flight recorder and
 # exactly one rate-limited profile capture validated by tracecheck -profiles).
-ci: vet build test race bench-smoke trace-smoke serve-smoke metrics-smoke router-smoke chaos-soak cache-gate fleet-trace-smoke membership-soak slo-smoke
+ci: vet build test ledger-test race bench-smoke trace-smoke serve-smoke metrics-smoke router-smoke chaos-soak cache-gate fleet-trace-smoke membership-soak slo-smoke
 
 vet:
 	$(GO) vet ./...
@@ -36,6 +37,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# ledger-test runs the tests of the nested perfledger module (25-45 s),
+# among them TestLayerDriverMatchesDecide: the ledger's layer-by-layer replay
+# must build the same CNF and reach the same verdict as core.DecideCtx on
+# every paper formula, or its per-layer times describe another computation.
+ledger-test:
+	cd perfledger && $(GO) test .
 
 race:
 	$(GO) test -race -short ./internal/core ./internal/sat ./internal/obs \

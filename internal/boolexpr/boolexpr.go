@@ -347,7 +347,12 @@ type CNF struct {
 // variable.
 func ToCNF(n *Node, s *sat.Solver) CNF {
 	c := CNF{VarLits: make(map[string]sat.Lit)}
-	lits := make(map[*Node]sat.Lit)
+	// The memo is indexed by node ID: a node is created after its operands,
+	// so n's ID bounds every ID in its DAG.
+	lits := make([]sat.Lit, n.id+1)
+	for i := range lits {
+		lits[i] = sat.LitUndef
+	}
 	var constTrue sat.Lit = sat.LitUndef
 	getConstTrue := func() sat.Lit {
 		if constTrue == sat.LitUndef {
@@ -368,7 +373,7 @@ func ToCNF(n *Node, s *sat.Solver) CNF {
 		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		m := f.n
-		if _, done := lits[m]; done {
+		if lits[m.id] != sat.LitUndef {
 			continue
 		}
 		if !f.expanded {
@@ -395,25 +400,25 @@ func ToCNF(n *Node, s *sat.Solver) CNF {
 				c.VarLits[m.name] = l
 			}
 		case KNot:
-			l = lits[m.a].Not()
+			l = lits[m.a.id].Not()
 		case KAnd:
-			la, lb := lits[m.a], lits[m.b]
+			la, lb := lits[m.a.id], lits[m.b.id]
 			x := sat.PosLit(s.NewVar())
 			s.AddClause(x.Not(), la)
 			s.AddClause(x.Not(), lb)
 			s.AddClause(x, la.Not(), lb.Not())
 			l = x
 		case KOr:
-			la, lb := lits[m.a], lits[m.b]
+			la, lb := lits[m.a.id], lits[m.b.id]
 			x := sat.PosLit(s.NewVar())
 			s.AddClause(x.Not(), la, lb)
 			s.AddClause(x, la.Not())
 			s.AddClause(x, lb.Not())
 			l = x
 		}
-		lits[m] = l
+		lits[m.id] = l
 	}
-	c.Top = lits[n]
+	c.Top = lits[n.id]
 	return c
 }
 

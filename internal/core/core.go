@@ -319,7 +319,7 @@ func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Option
 		bvar    *boolexpr.Node
 		sdEnc   *smalldomain.Encoder
 		eijEnc  *perconstraint.Encoder
-		clauses []perconstraint.TransClause
+		trans   *perconstraint.TransSet
 		demoted map[*sep.Class]bool
 	)
 	for {
@@ -351,9 +351,9 @@ func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Option
 			return fail(err, true)
 		}
 		transSpan := rec.StartSpan(StageTrans)
-		clauses, err = eijEnc.TransClauseList()
+		trans, err = eijEnc.TransSet()
 		if err == nil {
-			transSpan.AttrInt("trans_clauses", len(clauses)).
+			transSpan.AttrInt("trans_clauses", trans.Len()).
 				AttrInt("trans_constraints", eijEnc.Stats().TransConstraints)
 			transSpan.End()
 			break
@@ -371,8 +371,6 @@ func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Option
 		}
 		return fail(err, true)
 	}
-	// Validity of F ⟺ unsatisfiability of F_trans ∧ ¬F_bvar. ¬F_bvar goes
-	// through Tseitin; F_trans is asserted directly in clausal form.
 	res.Stats.BoolNodes = bb.NumNodes()
 	res.Stats.EIJStats = eijEnc.Stats()
 
@@ -383,27 +381,7 @@ func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Option
 	solver.Ctx = ctx
 	solver.ConflictBudget = opts.MaxConflicts
 	solver.Probes = rec.Probes()
-	cnf := boolexpr.AssertTrue(bb.Not(bvar), solver)
-	varLit := func(n *boolexpr.Node) sat.Lit {
-		if l, ok := cnf.VarLits[n.Name()]; ok {
-			return l
-		}
-		l := sat.PosLit(solver.NewVar())
-		cnf.VarLits[n.Name()] = l
-		return l
-	}
-	lits := make([]sat.Lit, 0, 3)
-	for _, cl := range clauses {
-		lits = lits[:0]
-		for _, tl := range cl {
-			l := varLit(tl.Var)
-			if tl.Neg {
-				l = l.Not()
-			}
-			lits = append(lits, l)
-		}
-		solver.AddClause(lits...)
-	}
+	cnf := AssertQuery(solver, bb, bvar, trans)
 	res.Stats.EncodeTime = time.Since(start)
 	res.Stats.CNFClauses = solver.Stats().Clauses
 	cnfSpan.AttrInt("vars", solver.Stats().Vars).AttrInt("cnf_clauses", solver.Stats().Clauses)
@@ -468,6 +446,45 @@ func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Option
 	satSpan.End()
 	res.Telemetry = res.snapshot(rec, opts.Method)
 	return res
+}
+
+// AssertQuery asserts the SAT query of a validity check into solver:
+// validity of F ⟺ unsatisfiability of F_trans ∧ ¬F_bvar. ¬F_bvar goes
+// through Tseitin; F_trans is asserted directly in clausal form, each of its
+// variables resolved against the Tseitin variable map once, not once per
+// literal. A variable the map lacks (derived, or folded out of F_bvar) gets
+// a fresh solver variable at its first literal and is added to the returned
+// map, so SAT variables are numbered in clause order.
+func AssertQuery(solver *sat.Solver, bb *boolexpr.Builder, bvar *boolexpr.Node, trans *perconstraint.TransSet) boolexpr.CNF {
+	cnf := boolexpr.AssertTrue(bb.Not(bvar), solver)
+	varLits := make([]sat.Lit, len(trans.Vars))
+	for i := range varLits {
+		varLits[i] = sat.LitUndef
+	}
+	clause := make([]sat.Lit, 0, 3)
+	lo := int32(0)
+	for _, hi := range trans.Ends {
+		clause = clause[:0]
+		for _, code := range trans.Lits[lo:hi] {
+			l := varLits[code>>1]
+			if l == sat.LitUndef {
+				name := trans.Vars[code>>1].Name()
+				var ok bool
+				if l, ok = cnf.VarLits[name]; !ok {
+					l = sat.PosLit(solver.NewVar())
+					cnf.VarLits[name] = l
+				}
+				varLits[code>>1] = l
+			}
+			if code&1 == 1 {
+				l = l.Not()
+			}
+			clause = append(clause, l)
+		}
+		solver.AddClause(clause...)
+		lo = hi
+	}
+	return cnf
 }
 
 // estimateMemory is a coarse resident-size estimate in bytes of the encoded

@@ -108,7 +108,7 @@ func OpenSession(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Opti
 	var (
 		bb      *boolexpr.Builder
 		bvar    *boolexpr.Node
-		clauses []perconstraint.TransClause
+		trans   *perconstraint.TransSet
 		demoted map[*sep.Class]bool
 	)
 	for {
@@ -122,7 +122,7 @@ func OpenSession(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Opti
 		if err != nil {
 			return nil, err
 		}
-		clauses, err = s.eijEnc.TransClauseList()
+		trans, err = s.eijEnc.TransSet()
 		if err == nil {
 			break
 		}
@@ -144,29 +144,8 @@ func OpenSession(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Opti
 	// CNF: validity of F[γ] ⟺ UNSAT(F_trans ∧ ¬F_bvar ∧ γ).
 	solver := sat.New()
 	solver.ConflictBudget = opts.MaxConflicts
-	cnf := boolexpr.AssertTrue(bb.Not(bvar), solver)
-	varLit := func(n *boolexpr.Node) sat.Lit {
-		if l, ok := cnf.VarLits[n.Name()]; ok {
-			return l
-		}
-		l := sat.PosLit(solver.NewVar())
-		cnf.VarLits[n.Name()] = l
-		return l
-	}
-	lits := make([]sat.Lit, 0, 3)
-	for _, cl := range clauses {
-		lits = lits[:0]
-		for _, tl := range cl {
-			l := varLit(tl.Var)
-			if tl.Neg {
-				l = l.Not()
-			}
-			lits = append(lits, l)
-		}
-		solver.AddClause(lits...)
-	}
 	s.solver = solver
-	s.cnf = cnf
+	s.cnf = AssertQuery(solver, bb, bvar, trans)
 	s.encodeStats.CNFClauses = solver.Stats().Clauses
 	s.encodeTime = time.Since(start)
 	s.encodeStats.EncodeTime = s.encodeTime

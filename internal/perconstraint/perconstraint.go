@@ -23,9 +23,12 @@
 package perconstraint
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -86,8 +89,9 @@ type predKey struct {
 }
 
 // Encoder encodes separation atoms per-constraint. Atom encodings are
-// collected; TransConstraints must be called afterwards to obtain F_trans
-// for every predicate variable handed out.
+// collected; TransSet (or its adapters TransClauseList and
+// TransConstraints) must be called afterwards to obtain F_trans for every
+// predicate variable handed out.
 type Encoder struct {
 	bb   *boolexpr.Builder
 	sb   *suf.Builder
@@ -115,19 +119,6 @@ type Encoder struct {
 	atomCalls int // EncodeAtom invocations, gating context polls
 }
 
-func sortEdges(es []*edge) {
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if a.x != b.x {
-			return a.x < b.x
-		}
-		if a.y != b.y {
-			return a.y < b.y
-		}
-		return a.c < b.c
-	})
-}
-
 // NewEncoder builds a per-constraint encoder for the analyzed formula info.
 func NewEncoder(info *sep.Info, sb *suf.Builder, bb *boolexpr.Builder) *Encoder {
 	e := &Encoder{bb: bb, sb: sb, info: info, vars: make(map[predKey]*boolexpr.Node)}
@@ -144,8 +135,8 @@ func (e *Encoder) Walker() *enc.Walker { return e.walker }
 // hybrid encoder can route guard atoms through its own dispatcher.
 func (e *Encoder) SetWalker(w *enc.Walker) { e.walker = w }
 
-// Stats returns the current counters (TransConstraints is populated by
-// TransConstraints).
+// Stats returns the current counters (DerivedVars and TransConstraints are
+// populated by transitivity generation, TransSet and its adapters).
 func (e *Encoder) Stats() Stats { return e.stats }
 
 // Lit returns the literal encoding the difference constraint x − y ≤ c,
@@ -271,10 +262,8 @@ func (l TransLit) Not() TransLit { return TransLit{l.Var, !l.Neg} }
 
 // TransClause is one transitivity constraint in clausal form — a disjunction
 // of predicate-variable literals (2 literals for a negative self-loop
-// ¬l1 ∨ ¬l2, 3 for an implication ¬l1 ∨ ¬l2 ∨ l3). Emitting these directly
-// as CNF clauses avoids the ~6× Tseitin overhead a formula-level F_trans
-// would pay, which matters: F_trans dominates the per-constraint encoding's
-// CNF size.
+// ¬l1 ∨ ¬l2, 3 for an implication ¬l1 ∨ ¬l2 ∨ l3). It is the pointer-based
+// view of one TransSet clause, kept for callers that walk nodes.
 type TransClause []TransLit
 
 // OrderHeuristic selects the Fourier–Motzkin vertex-elimination order,
@@ -308,43 +297,92 @@ func (o OrderHeuristic) String() string {
 	return "unknown"
 }
 
-// edge is a labelled difference edge x − y ≤ c under literal lit.
-type edge struct {
-	x, y string
-	c    int
-	lit  TransLit
+// TransSet is F_trans in flat, pointer-free clausal form. A literal is the
+// code v<<1 | neg over the variable table Vars; clause i is the codes
+// Lits[Ends[i-1]:Ends[i]] (from 0 for the first clause). F_trans dominates
+// the EIJ encoding's size — millions of 2–3-literal clauses on the invariant
+// benchmarks — so it is held in three flat arrays instead of one heap object
+// per clause, and asserted directly as CNF clauses: a formula-level F_trans
+// would pay ~6× Tseitin overhead.
+type TransSet struct {
+	// Vars holds one node per predicate variable, source or derived, a code
+	// may name.
+	Vars []*boolexpr.Node
+	// Lits holds the literal codes of all clauses, back to back.
+	Lits []int32
+	// Ends holds the end offset in Lits of each clause.
+	Ends []int32
+}
+
+// Len returns the number of clauses.
+func (t *TransSet) Len() int { return len(t.Ends) }
+
+// Clause returns the literal codes of clause i.
+func (t *TransSet) Clause(i int) []int32 {
+	lo := int32(0)
+	if i > 0 {
+		lo = t.Ends[i-1]
+	}
+	return t.Lits[lo:t.Ends[i]]
+}
+
+// Lit decodes a literal code.
+func (t *TransSet) Lit(code int32) TransLit {
+	return TransLit{Var: t.Vars[code>>1], Neg: code&1 == 1}
 }
 
 // TransConstraints generates F_trans as a single Boolean formula. Prefer
-// TransClauseList plus direct clause assertion for large encodings.
+// TransSet plus direct clause assertion for large encodings.
 func (e *Encoder) TransConstraints() (*boolexpr.Node, error) {
-	clauses, err := e.TransClauseList()
+	ts, err := e.TransSet()
 	if err != nil {
 		return nil, err
 	}
 	out := e.bb.True()
-	for _, cl := range clauses {
+	for i := 0; i < ts.Len(); i++ {
 		d := e.bb.False()
-		for _, l := range cl {
-			d = e.bb.Or(d, l.Node(e.bb))
+		for _, code := range ts.Clause(i) {
+			d = e.bb.Or(d, ts.Lit(code).Node(e.bb))
 		}
 		out = e.bb.And(out, d)
 	}
 	return out, nil
 }
 
-// TransClauseList generates the transitivity constraints for every predicate
-// variable handed out so far, by per-class Fourier–Motzkin vertex
-// elimination, in clausal form.
+// TransClauseList is TransSet with every clause decoded to a TransClause.
 func (e *Encoder) TransClauseList() ([]TransClause, error) {
-	// Group canonical predicates by class.
-	byClass := make(map[*sep.Class][]predKey)
-	for _, k := range e.order {
+	ts, err := e.TransSet()
+	if err != nil || ts.Len() == 0 {
+		return nil, err
+	}
+	lits := make([]TransLit, len(ts.Lits))
+	for i, code := range ts.Lits {
+		lits[i] = ts.Lit(code)
+	}
+	out := make([]TransClause, ts.Len())
+	lo := int32(0)
+	for i, hi := range ts.Ends {
+		out[i] = lits[lo:hi:hi]
+		lo = hi
+	}
+	return out, nil
+}
+
+// TransSet generates the transitivity constraints for every predicate
+// variable handed out so far, by per-class Fourier–Motzkin vertex
+// elimination. Derived variables are created in bb at their first use.
+func (e *Encoder) TransSet() (*TransSet, error) {
+	ts := &TransSet{Vars: make([]*boolexpr.Node, len(e.order))}
+	// Group canonical predicates by class; a source variable's index in
+	// Vars is its allocation index.
+	byClass := make(map[*sep.Class][]int32)
+	for i, k := range e.order {
 		cl := e.info.ClassOf[k.x]
 		if cl == nil || e.info.ClassOf[k.y] != cl {
 			return nil, fmt.Errorf("perconstraint: predicate %v crosses classes", k)
 		}
-		byClass[cl] = append(byClass[cl], k)
+		ts.Vars[i] = e.vars[k]
+		byClass[cl] = append(byClass[cl], int32(i))
 	}
 	classes := make([]*sep.Class, 0, len(byClass))
 	for cl := range byClass {
@@ -352,20 +390,101 @@ func (e *Encoder) TransClauseList() ([]TransClause, error) {
 	}
 	sort.Slice(classes, func(i, j int) bool { return classes[i].ID < classes[j].ID })
 
-	var out []TransClause
-	budget := e.MaxTrans
+	g := transGen{e: e, ts: ts, budget: e.MaxTrans, ids: make(map[string]int32),
+		edgeAt: make(map[edgeKey]int32), canon: make(map[edgeKey]int32)}
 	for _, cl := range classes {
-		cs, err := e.transForClass(cl, byClass[cl], &budget)
-		if err != nil {
+		if err := g.class(cl, byClass[cl]); err != nil {
 			return nil, err
 		}
-		out = append(out, cs...)
 	}
-	return out, nil
+	return ts, nil
 }
 
-func (e *Encoder) transForClass(cl *sep.Class, preds []predKey, budget *int) ([]TransClause, error) {
-	bb := e.bb
+// edgeKey identifies the difference edge x − y ≤ c between dense vertex IDs.
+type edgeKey struct {
+	x, y int32
+	c    int
+}
+
+// transEdge is a labelled difference edge x − y ≤ c under literal code lit,
+// threaded onto the incidence lists of both endpoints.
+type transEdge struct {
+	edgeKey
+	lit          int32
+	nextX, nextY int32 // next edge incident to x / to y; -1 ends the list
+}
+
+// arc is an edge seen from the vertex being eliminated: u is its other
+// endpoint.
+type arc struct {
+	u   int32
+	c   int
+	lit int32
+}
+
+func cmpArc(a, b arc) int {
+	if a.u != b.u {
+		return cmp.Compare(a.u, b.u)
+	}
+	return cmp.Compare(a.c, b.c)
+}
+
+// transGen is the state of one TransSet call. Its slices and maps are
+// reused from class to class, so elimination allocates only as they grow.
+type transGen struct {
+	e      *Encoder
+	ts     *TransSet
+	cl     *sep.Class
+	budget int // remaining MaxTrans allowance, shared by all classes
+	nCons  int // clauses emitted for the current class
+
+	// Vertices of the current class: dense IDs assigned in name order, so
+	// every comparison the elimination makes on IDs agrees with the one it
+	// would make on names.
+	names         []string
+	ids           map[string]int32
+	head          []int32 // first incident edge of each vertex; -1 if none
+	indeg, outdeg []int   // live incident edges ending / starting at a vertex
+	gone          []bool  // vertex already eliminated
+	alive         []int32 // vertices not yet eliminated, ascending
+
+	edges  []transEdge
+	edgeAt map[edgeKey]int32 // edge index; edges of eliminated vertices linger harmlessly
+	canon  map[edgeKey]int32 // canonical (x < y) predicate → variable index
+	in     []arc
+	out    []arc
+	name   []byte
+}
+
+func (g *transGen) class(cl *sep.Class, preds []int32) error {
+	e := g.e
+	g.cl, g.nCons = cl, 0
+	g.names = g.names[:0]
+	clear(g.ids)
+	for _, pi := range preds {
+		k := e.order[pi]
+		for _, v := range [2]string{k.x, k.y} {
+			if _, ok := g.ids[v]; !ok {
+				g.ids[v] = 0
+				g.names = append(g.names, v)
+			}
+		}
+	}
+	sort.Strings(g.names)
+	n := len(g.names)
+	g.head, g.indeg, g.outdeg, g.gone, g.alive = g.head[:0], g.indeg[:0], g.outdeg[:0], g.gone[:0], g.alive[:0]
+	for i, v := range g.names {
+		g.ids[v] = int32(i)
+		g.head = append(g.head, -1)
+		g.indeg = append(g.indeg, 0)
+		g.outdeg = append(g.outdeg, 0)
+		g.gone = append(g.gone, false)
+		g.alive = append(g.alive, int32(i))
+	}
+	g.edges = g.edges[:0]
+	clear(g.edgeAt)
+	clear(g.canon)
+
 	// Weight bound for derived edges: every edge of a *simple* negative
 	// cycle is a contiguous subpath of it, and with n vertices and initial
 	// weights in [−W, W] a subpath of a simple negative cycle has weight in
@@ -373,12 +492,10 @@ func (e *Encoder) transForClass(cl *sep.Class, preds []predKey, budget *int) ([]
 	// so derived edges outside that window can never witness a negative
 	// cycle and are dropped. This keeps the (still potentially exponential)
 	// growth tied to genuine weight diversity.
-	verts := make(map[string]bool)
 	maxW := 1
 	maxPos := 0
-	for _, k := range preds {
-		verts[k.x] = true
-		verts[k.y] = true
+	for _, pi := range preds {
+		k := e.order[pi]
 		for _, w := range [2]int{k.c, -k.c - 1} {
 			if abs(w) > maxW {
 				maxW = abs(w)
@@ -388,7 +505,7 @@ func (e *Encoder) transForClass(cl *sep.Class, preds []predKey, budget *int) ([]
 			}
 		}
 	}
-	hiBound := len(verts) * maxW
+	hiBound := n * maxW
 	// Weight floor: in a simple cycle the other edges contribute at most
 	// n·maxPos, so once a subpath's weight reaches F = −n·maxPos − 1 the
 	// completed cycle is negative no matter what — all weights below F are
@@ -396,192 +513,198 @@ func (e *Encoder) transForClass(cl *sep.Class, preds []predKey, budget *int) ([]
 	// (no positive weights) this collapses the per-pair weights to {0, −1},
 	// which is why the per-constraint method is cheap exactly on the
 	// formulas the paper observes it winning on.
-	floor := -len(verts)*maxPos - 1
+	floor := -n*maxPos - 1
 
-	// Labelled edges keyed by (x, y, c); both polarities of each source
-	// predicate are present from the start.
-	edges := make(map[predKey]*edge)
-	adj := make(map[string]map[predKey]bool) // vertex → incident edge keys
-	addEdge := func(x, y string, c int, lit TransLit) *edge {
-		k := predKey{x, y, c}
-		if ed, ok := edges[k]; ok {
-			return ed
-		}
-		ed := &edge{x, y, c, lit}
-		edges[k] = ed
-		for _, v := range [2]string{x, y} {
-			if adj[v] == nil {
-				adj[v] = make(map[predKey]bool)
-			}
-			adj[v][k] = true
-		}
-		return ed
-	}
-	for _, k := range preds {
-		v := e.vars[k]
-		addEdge(k.x, k.y, k.c, TransLit{v, false})
-		addEdge(k.y, k.x, -k.c-1, TransLit{v, true})
-	}
-
-	// litFor returns the consequent literal for a derived constraint
-	// x − y ≤ c, reusing source variables (possibly negated) when they match
-	// exactly, and fresh derived variables otherwise.
-	litFor := func(x, y string, c int) TransLit {
-		cx, cy, cc := x, y, c
-		neg := false
-		if cx > cy {
-			cx, cy, cc = y, x, -c-1
-			neg = true
-		}
-		if v, ok := e.vars[predKey{cx, cy, cc}]; ok {
-			return TransLit{v, neg}
-		}
-		v := bb.Var("eijD!" + cx + "!" + cy + "!" + strconv.Itoa(cc))
-		if _, seen := e.derivedSeen(cx, cy, cc); !seen {
-			e.stats.DerivedVars++
-		}
-		return TransLit{v, neg}
-	}
-
-	var constraints []TransClause
-	nCons := 0
-	emit := func(tc TransClause) error {
-		constraints = append(constraints, tc)
-		nCons++
-		e.stats.TransConstraints++
-		if e.MaxTrans > 0 {
-			*budget--
-			if *budget < 0 {
-				return &BudgetError{Class: cl, Limit: e.MaxTrans}
-			}
-		}
-		if nCons%256 == 0 {
-			if e.Ctx != nil {
-				if err := e.Ctx.Err(); err != nil {
-					return err
-				}
-			}
-			if !e.Deadline.IsZero() && time.Now().After(e.Deadline) {
-				return ErrDeadline
-			}
-			if e.Interrupt != nil && e.Interrupt.Load() {
-				return ErrDeadline
-			}
-		}
-		return nil
+	// Both polarities of each source predicate are edges from the start.
+	for _, pi := range preds {
+		k := e.order[pi]
+		x, y := g.ids[k.x], g.ids[k.y]
+		g.canon[edgeKey{x, y, k.c}] = pi
+		g.addEdge(x, y, k.c, pi<<1)
+		g.addEdge(y, x, -k.c-1, pi<<1|1)
 	}
 
 	// Vertex elimination in the configured order.
-	for len(adj) > 0 {
-		var names []string
-		for name := range adj {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		v := names[0]
-		switch e.Order {
-		case Lexicographic:
-			// v is already the lexicographically smallest.
-		case MinFill:
-			best := -1
-			for _, name := range names {
-				in, out := 0, 0
-				for k := range adj[name] {
-					ed := edges[k]
-					if ed.y == name {
-						in++
-					}
-					if ed.x == name {
-						out++
-					}
-				}
-				fill := in * out
-				if best == -1 || fill < best {
-					best = fill
-					v = name
-				}
-			}
-		default: // MinDegree
-			best := -1
-			for _, name := range names {
-				d := len(adj[name])
-				if best == -1 || d < best {
-					best = d
-					v = name
-				}
-			}
-		}
+	ts := g.ts
+	for len(g.alive) > 0 {
+		at := g.pick()
+		v := g.alive[at]
+		g.alive = append(g.alive[:at], g.alive[at+1:]...)
 
-		// Partition incident edges.
-		var in, out []*edge // in: (x→v), out: (v→y)
-		for k := range adj[v] {
-			ed := edges[k]
-			if ed.y == v && ed.x != v {
-				in = append(in, ed)
-			}
-			if ed.x == v && ed.y != v {
-				out = append(out, ed)
-			}
-		}
-		sortEdges(in)
-		sortEdges(out)
-		// Remove v and its edges before adding compositions.
-		for k := range adj[v] {
-			ed := edges[k]
-			delete(edges, k)
-			other := ed.x
-			if other == v {
-				other = ed.y
-			}
-			if adj[other] != nil {
-				delete(adj[other], k)
+		// Partition v's live edges into in (x→v) and out (v→y), and remove
+		// them: an edge whose other endpoint is gone died with it.
+		in, out := g.in[:0], g.out[:0]
+		for ei := g.head[v]; ei >= 0; {
+			ed := &g.edges[ei]
+			if ed.x == v {
+				ei = ed.nextX
+				if !g.gone[ed.y] {
+					out = append(out, arc{ed.y, ed.c, ed.lit})
+					g.indeg[ed.y]--
+				}
+			} else {
+				ei = ed.nextY
+				if !g.gone[ed.x] {
+					in = append(in, arc{ed.x, ed.c, ed.lit})
+					g.outdeg[ed.x]--
+				}
 			}
 		}
-		delete(adj, v)
+		g.gone[v] = true
+		slices.SortFunc(in, cmpArc)
+		slices.SortFunc(out, cmpArc)
+		g.in, g.out = in, out
 
-		for _, e1 := range in { // e1: x − v ≤ c1
-			for _, e2 := range out { // e2: v − y ≤ c2
-				x, y := e1.x, e2.y
-				c := e1.c + e2.c
+		for _, a := range in { // a: x − v ≤ a.c
+			for _, b := range out { // b: v − y ≤ b.c
+				x, y := a.u, b.u
+				c := a.c + b.c
 				if c < floor {
 					c = floor
 				}
-				if e1.lit.Var == e2.lit.Var && e1.lit.Neg != e2.lit.Neg {
+				if a.lit^b.lit == 1 {
 					continue // composing a literal with its own negation
 				}
-				ant := TransClause{e1.lit.Not()}
-				if e1.lit != e2.lit {
-					ant = append(ant, e2.lit.Not())
+				ts.Lits = reserve(ts.Lits, 3)
+				mark := len(ts.Lits)
+				ts.Lits = append(ts.Lits, a.lit^1)
+				if a.lit != b.lit {
+					ts.Lits = append(ts.Lits, b.lit^1)
 				}
-				if x == y {
-					if c < 0 {
-						// Negative self-loop: the antecedent is contradictory.
-						if err := emit(ant); err != nil {
-							return nil, err
-						}
+				switch {
+				case x == y:
+					if c >= 0 {
+						ts.Lits = ts.Lits[:mark]
+						continue
 					}
-					continue
-				}
-				if c > hiBound {
+					// Negative self-loop: the antecedent is contradictory.
+				case c > hiBound:
+					ts.Lits = ts.Lits[:mark]
 					continue // cannot be part of a simple negative cycle
-				}
-				k := predKey{x, y, c}
-				if ed, ok := edges[k]; ok {
-					// Edge already present: just link the new derivation.
-					if err := emit(append(ant[:len(ant):len(ant)], ed.lit)); err != nil {
-						return nil, err
+				default:
+					if ei, ok := g.edgeAt[edgeKey{x, y, c}]; ok {
+						// Edge already present: just link the new derivation.
+						ts.Lits = append(ts.Lits, g.edges[ei].lit)
+						break
 					}
-					continue
+					l3 := g.litFor(x, y, c)
+					g.addEdge(x, y, c, l3)
+					ts.Lits = append(ts.Lits, l3)
 				}
-				l3 := litFor(x, y, c)
-				addEdge(x, y, c, l3)
-				if err := emit(append(ant[:len(ant):len(ant)], l3)); err != nil {
-					return nil, err
+				if err := g.emit(); err != nil {
+					return err
 				}
 			}
 		}
 	}
-	return constraints, nil
+	return nil
+}
+
+// reserve returns s with room for n more elements. When it must grow it
+// doubles the capacity, where append grows a large slice by only 1.25×:
+// F_trans runs to tens of megabytes, and every growth copies it into freshly
+// allocated pages.
+func reserve(s []int32, n int) []int32 {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	out := make([]int32, len(s), max(2*cap(s), len(s)+n))
+	copy(out, s)
+	return out
+}
+
+// pick returns the position in alive of the next vertex to eliminate: the
+// heuristic's minimum, ties going to the smallest name.
+func (g *transGen) pick() int {
+	if g.e.Order == Lexicographic {
+		return 0
+	}
+	best, at := -1, 0
+	for i, v := range g.alive {
+		score := g.indeg[v] + g.outdeg[v] // MinDegree
+		if g.e.Order == MinFill {
+			score = g.indeg[v] * g.outdeg[v]
+		}
+		if best == -1 || score < best {
+			best, at = score, i
+		}
+	}
+	return at
+}
+
+// addEdge adds x − y ≤ c under lit unless that edge already exists.
+func (g *transGen) addEdge(x, y int32, c int, lit int32) {
+	k := edgeKey{x, y, c}
+	if _, ok := g.edgeAt[k]; ok {
+		return
+	}
+	ei := int32(len(g.edges))
+	g.edges = append(g.edges, transEdge{edgeKey: k, lit: lit, nextX: g.head[x], nextY: g.head[y]})
+	g.head[x], g.head[y] = ei, ei
+	g.edgeAt[k] = ei
+	g.outdeg[x]++
+	g.indeg[y]++
+}
+
+// litFor returns the consequent literal for a derived constraint
+// x − y ≤ c, reusing source variables (possibly negated) when they match
+// exactly, and fresh derived variables otherwise.
+func (g *transGen) litFor(x, y int32, c int) int32 {
+	cx, cy, cc := x, y, c
+	neg := int32(0)
+	if cx > cy {
+		cx, cy, cc = y, x, -c-1
+		neg = 1
+	}
+	k := edgeKey{cx, cy, cc}
+	if v, ok := g.canon[k]; ok {
+		return v<<1 | neg
+	}
+	nx, ny := g.names[cx], g.names[cy]
+	b := append(g.name[:0], "eijD!"...)
+	b = append(append(b, nx...), '!')
+	b = append(append(b, ny...), '!')
+	g.name = strconv.AppendInt(b, int64(cc), 10)
+	ts := g.ts
+	v := int32(len(ts.Vars))
+	ts.Vars = append(ts.Vars, g.e.bb.Var(string(g.name)))
+	if _, seen := g.e.derivedSeen(nx, ny, cc); !seen {
+		g.e.stats.DerivedVars++
+	}
+	g.canon[k] = v
+	return v<<1 | neg
+}
+
+// emit closes the clause whose literals were just appended, charges it to
+// the budget and polls for cancellation every 256 clauses of a class.
+func (g *transGen) emit() error {
+	e, ts := g.e, g.ts
+	if len(ts.Lits) > math.MaxInt32 {
+		return fmt.Errorf("%w: more than %d literals", ErrTranslationLimit, math.MaxInt32)
+	}
+	ts.Ends = append(reserve(ts.Ends, 1), int32(len(ts.Lits)))
+	g.nCons++
+	e.stats.TransConstraints++
+	if e.MaxTrans > 0 {
+		g.budget--
+		if g.budget < 0 {
+			return &BudgetError{Class: g.cl, Limit: e.MaxTrans}
+		}
+	}
+	if g.nCons%256 == 0 {
+		if e.Ctx != nil {
+			if err := e.Ctx.Err(); err != nil {
+				return err
+			}
+		}
+		if !e.Deadline.IsZero() && time.Now().After(e.Deadline) {
+			return ErrDeadline
+		}
+		if e.Interrupt != nil && e.Interrupt.Load() {
+			return ErrDeadline
+		}
+	}
+	return nil
 }
 
 // derivedSeen tracks distinct derived variables for stats.

@@ -21,34 +21,8 @@ import (
 func TestQuickTransitivityCharacterizesFeasibility(t *testing.T) {
 	f := func(seed int64, assignBits uint16) bool {
 		rng := rand.New(rand.NewSource(seed))
-		nVars := 3 + rng.Intn(3)
-		nPreds := 1 + rng.Intn(7)
-
-		// Build a formula that merely introduces the predicates (one class).
 		b := suf.NewBuilder()
-		type pred struct {
-			x, y string
-			c    int
-		}
-		var preds []pred
-		g := b.True()
-		for i := 0; i < nPreds; i++ {
-			x := fmt.Sprintf("v%d", rng.Intn(nVars))
-			y := fmt.Sprintf("v%d", rng.Intn(nVars))
-			if x == y {
-				continue
-			}
-			c := rng.Intn(5) - 2
-			preds = append(preds, pred{x, y, c})
-			// x − y ≤ c ⟺ x ≤ y + c; wrap in a Boolean variable so the
-			// formula doesn't constrain the predicates.
-			g = b.And(g, b.Or(b.BoolSym(fmt.Sprintf("s%d", i)), b.Le(b.Sym(x), b.Offset(b.Sym(y), c))))
-		}
-		// Chain everything into one class.
-		for i := 0; i < nVars-1; i++ {
-			g = b.And(g, b.Or(b.BoolSym("sc"),
-				b.Eq(b.Sym(fmt.Sprintf("v%d", i)), b.Sym(fmt.Sprintf("v%d", i+1)))))
-		}
+		g := randomClasses(rng, b, 1+rng.Intn(3), 5, 7, 6)
 		info, err := sep.Analyze(g, b, nil)
 		if err != nil {
 			return false
@@ -117,4 +91,30 @@ func TestQuickTransitivityCharacterizesFeasibility(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// randomClasses builds a formula that merely introduces random difference
+// predicates over nClasses disjoint classes: each class has 3..maxVars
+// constants chained into one class by guarded equalities, and up to
+// maxPreds predicates x − y ≤ c with c in [−maxOff, maxOff], each behind a
+// Boolean guard so the formula does not constrain it.
+func randomClasses(rng *rand.Rand, b *suf.Builder, nClasses, maxVars, maxPreds, maxOff int) *suf.BoolExpr {
+	g := b.True()
+	for k := 0; k < nClasses; k++ {
+		nVars := 3 + rng.Intn(maxVars-2)
+		sym := func(i int) *suf.IntExpr { return b.Sym(fmt.Sprintf("c%dv%d", k, i)) }
+		for i, n := 0, 1+rng.Intn(maxPreds); i < n; i++ {
+			x, y := rng.Intn(nVars), rng.Intn(nVars)
+			if x == y {
+				continue
+			}
+			c := rng.Intn(2*maxOff+1) - maxOff
+			// x − y ≤ c ⟺ x ≤ y + c
+			g = b.And(g, b.Or(b.BoolSym(fmt.Sprintf("s%d_%d", k, i)), b.Le(sym(x), b.Offset(sym(y), c))))
+		}
+		for i := 0; i < nVars-1; i++ {
+			g = b.And(g, b.Or(b.BoolSym(fmt.Sprintf("sc%d", k)), b.Eq(sym(i), sym(i+1))))
+		}
+	}
+	return g
 }
