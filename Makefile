@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test ledger-test race bench bench-smoke trace-smoke serve-smoke metrics-smoke soak router-smoke chaos-soak chaos-bench cache-gate fleet-trace-smoke affinity-bench membership-soak membership-bench slo-smoke slo-bench
+.PHONY: ci fmt vet build test ledger-test race bench-smoke trace-smoke serve-smoke metrics-smoke router-smoke chaos-soak cache-gate fleet-trace-smoke membership-soak slo-smoke
 
-# ci is the full verification gate: static analysis, build, the whole test
+# ci is the full verification gate: gofmt, vet, build, the whole test
 # suite, the perf ledger's module tests (which the root `go test ./...` does
 # not reach), a race-detector pass over the concurrency-bearing packages (the
 # portfolio racer, the parallel clause-sharing SAT core, the telemetry
@@ -27,7 +27,16 @@ GO ?= go
 # and the SLO smoke (flood a 1-worker sufserved until the latency objective
 # burns, assert the state transition in /metrics + the flight recorder and
 # exactly one rate-limited profile capture validated by tracecheck -profiles).
-ci: vet build test ledger-test race bench-smoke trace-smoke serve-smoke metrics-smoke router-smoke chaos-soak cache-gate fleet-trace-smoke membership-soak slo-smoke
+ci: fmt vet build test ledger-test race bench-smoke trace-smoke serve-smoke metrics-smoke router-smoke chaos-soak cache-gate fleet-trace-smoke membership-soak slo-smoke
+
+# fmt fails when gofmt would reformat a tracked Go file. It lists the files
+# with git so that untracked build outputs (.bench_build/) are never walked,
+# runs the gofmt of the $(GO) toolchain, and fails too when git finds no Go
+# file or either tool fails (gofmt exits 2 on a file it cannot parse).
+fmt:
+	@files=$$(git ls-files '*.go') && [ -n "$$files" ] || { echo "fmt: git ls-files failed or found no Go files"; exit 1; }; \
+	out=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$files) || { echo "fmt: gofmt failed"; exit 1; }; \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -50,23 +59,6 @@ race:
 		./internal/obs/history ./internal/obs/slo \
 		./internal/server ./internal/server/client ./internal/router \
 		./internal/tsys
-
-# bench regenerates the current perf artifact at the repo root
-# (BENCH_PR7.json): repeat-decide against a cache-enabled server (gate: warm
-# p50 10x faster than cold, verdict identical to a no-cache control), a
-# concurrent soak with 40% alpha-renamed spellings (gates: zero mismatches,
-# hit rate above half the mix), and the BMC-stream sweep of one incremental
-# solver session vs per-depth pipelines (gate: 1.5x). Schema documented in
-# EXPERIMENTS.md.
-bench:
-	$(GO) run ./cmd/sufbench -cache -clients 8 -requests 96 -out BENCH_PR7.json
-
-# perf-bench regenerates the solver perf-trajectory report: Sample16 encoded
-# once per benchmark, then solved sequentially vs with the parallel
-# clause-sharing portfolio, each entry embedding its telemetry snapshot.
-# Schema documented in EXPERIMENTS.md.
-perf-bench:
-	$(GO) run ./cmd/sufbench -out BENCH_PR3.json
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkSolve -benchtime=1x ./internal/sat
@@ -97,14 +89,6 @@ serve-smoke:
 # (strict parse, in-flight requests present).
 metrics-smoke:
 	$(GO) test -run TestServedMetricsSmoke ./internal/server
-
-# soak hammers an in-process sufserved with concurrent retrying clients over
-# Sample16 (verdicts verified against ground truth), runs a metrics-off
-# baseline then a metrics-on pass with a /metrics scrape folded into the
-# report, and gates telemetry overhead at <=2% of the server-side p50.
-# Schema documented in EXPERIMENTS.md.
-soak:
-	$(GO) run ./cmd/sufbench -soak -out BENCH_PR5.json
 
 # router-smoke is the process-level fleet gate: a real sufrouter over two
 # real sufserved processes, one backend SIGKILLed mid-run. Every verdict must
@@ -145,16 +129,6 @@ cache-gate:
 fleet-trace-smoke:
 	$(GO) test -run TestFleetTraceSmoke ./internal/bench
 
-# affinity-bench regenerates the cross-node cache-observability artifact at
-# the repo root (BENCH_PR8.json): a kill/restart chaos soak under a hedging
-# router with a cache-heavy mix, scraping every backend's sufsat_cache_*
-# families into a warm-node affinity report, plus the tracing+slowlog
-# instrumentation microbench gated at <=2% of the soak p50. Schema documented
-# in EXPERIMENTS.md.
-affinity-bench:
-	$(GO) run ./cmd/sufbench -affinity -clients 10 -requests 200 -soak-timeout 6s \
-		-out BENCH_PR8.json
-
 # membership-soak is the rolling-upgrade chaos gate, run with -race so the
 # in-process router is instrumented: every backend of a live 3-node fleet is
 # rolled through drain -> SIGKILL -> restart -> rejoin via the admin API while
@@ -167,14 +141,6 @@ affinity-bench:
 membership-soak:
 	$(GO) test -race -run 'TestMembershipSoak|TestRouterMembershipProcess' ./internal/bench
 
-# membership-bench regenerates the dynamic-membership artifact at the repo
-# root (BENCH_PR9.json): the rolling-upgrade membership soak with its
-# per-step key-movement record and the survivor cache-warmth comparison
-# around the cold join. Schema documented in EXPERIMENTS.md.
-membership-bench:
-	$(GO) run ./cmd/sufbench -membership -clients 10 -requests 250 -soak-timeout 8s \
-		-out BENCH_PR9.json
-
 # slo-smoke is the SLO/profiling gate: a real sufserved with second-scale
 # SLO windows and a 10ms latency threshold is flooded with slow requests
 # until the latency-p95 objective burns. The burning gauge, transition
@@ -183,19 +149,3 @@ membership-bench:
 # (strict-validated by tracecheck -profiles) are all asserted.
 slo-smoke:
 	$(GO) test -run TestSLOSmoke ./internal/server
-
-# slo-bench regenerates the SLO/observability-overhead artifact at the repo
-# root (BENCH_PR10.json): the history+SLO+trigger pipeline's per-request
-# overhead measured against the PR 5 instrumentation-cost gate (<=2% of the
-# soak p50), plus the time-to-detect for an injected latency regression.
-# Schema documented in EXPERIMENTS.md.
-slo-bench:
-	$(GO) run ./cmd/sufbench -slo -out BENCH_PR10.json
-
-# chaos-bench regenerates the fleet tail-latency artifact at the repo root:
-# the same scripted chaos soaked twice, hedging on then off, gated on the
-# hedged p99 being no worse than the unhedged p99. Schema documented in
-# EXPERIMENTS.md.
-chaos-bench:
-	$(GO) run ./cmd/sufbench -chaos -clients 10 -requests 200 -soak-timeout 6s \
-		-out BENCH_PR6.json

@@ -18,19 +18,21 @@ import (
 // check; RunBMCStream fails rather than reporting a speedup built on a
 // verdict mismatch.
 
-// BMCStreamReport is the JSON artifact of one BMC-stream comparison.
-type BMCStreamReport struct {
-	System string `json:"system"`
-	Depth  int    `json:"depth"`
-	// Queries is the number of per-depth validity checks in the sweep.
-	Queries int `json:"queries"`
-	// Holds is the (agreed) verdict of the sweep.
-	Holds bool `json:"holds"`
+// bmcStreamDepth is the sweep's unrolling depth: it keeps the cold side
+// under a second on a laptop while leaving a wide gap for the session to win.
+const bmcStreamDepth = 8
 
-	ColdMS float64 `json:"cold_ms"`
-	WarmMS float64 `json:"warm_ms"`
+// BMCStreamReport is the outcome of one BMC-stream comparison.
+type BMCStreamReport struct {
+	// Queries is the number of per-depth validity checks in the sweep.
+	Queries int
+	// Holds is the (agreed) verdict of the sweep.
+	Holds bool
+
+	ColdMS float64
+	WarmMS float64
 	// Speedup is ColdMS / WarmMS.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 }
 
 // lockstepSystem builds the redundant-datapath system: two copies of an
@@ -52,15 +54,11 @@ func lockstepSystem() (*sufsat.System, sufsat.Formula) {
 	return sys, b.Eq(x, y)
 }
 
-// RunBMCStream runs the cold and warm sweeps at the given depth (0 picks 8,
-// which keeps the cold side under a second on a laptop while leaving a wide
-// gap for the session to win) and returns the comparison. It errors if the
-// two paths disagree on any verdict — a speedup over a wrong answer is not a
-// speedup.
-func RunBMCStream(ctx context.Context, depth int) (*BMCStreamReport, error) {
-	if depth <= 0 {
-		depth = 8
-	}
+// RunBMCStream runs the cold and warm sweeps to bmcStreamDepth on the
+// lockstep system and returns the comparison. It errors if the two paths
+// disagree on any verdict — a speedup over a wrong answer is not a speedup.
+func RunBMCStream(ctx context.Context) (*BMCStreamReport, error) {
+	const depth = bmcStreamDepth
 	opts := sufsat.Options{Timeout: 5 * time.Minute}
 
 	coldSys, coldProp := lockstepSystem()
@@ -91,8 +89,6 @@ func RunBMCStream(ctx context.Context, depth int) (*BMCStreamReport, error) {
 	}
 
 	rep := &BMCStreamReport{
-		System:  "lockstep-alu",
-		Depth:   depth,
 		Queries: depth + 1,
 		Holds:   cold.Holds,
 		ColdMS:  float64(coldDur.Microseconds()) / 1e3,

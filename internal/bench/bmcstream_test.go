@@ -9,7 +9,7 @@ import (
 // workload. The 1.5x bar is far under the observed ratio (4-8x at depths
 // 8-16) so the gate flags a real regression, not scheduler noise.
 func TestBMCStreamSpeedup(t *testing.T) {
-	rep, err := RunBMCStream(context.Background(), 8)
+	rep, err := RunBMCStream(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

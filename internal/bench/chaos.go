@@ -2,7 +2,6 @@ package bench
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -17,132 +16,61 @@ import (
 	"sufsat/internal/router"
 )
 
-// ChaosConfig parameterizes RunChaos: a fleet soak through an in-process
-// sufrouter (race-instrumented when the caller is) over real sufserved OS
-// processes, with scripted chaos — one backend SIGKILLed and restarted on a
-// schedule, another behind a fault-injecting TCP proxy cycling latency and
-// blackhole windows. The soak clients and verdict verification are RunSoak's.
-type ChaosConfig struct {
-	// ServedBin is the path to a built sufserved binary (BuildBinary).
-	ServedBin string
-	// Backends is the pool size (0 = 3).
-	Backends int
-	// Clients / Requests / TimeoutMS as in SoakConfig (0 = 10 / 300 / 8000).
-	Clients   int
-	Requests  int
-	TimeoutMS int64
-	// Hedge enables hedged requests on the router (auto p95 delay); with it
-	// off, a blackholed backend costs every affected request its full
-	// deadline — the comparison BENCH_PR6.json records.
-	Hedge bool
-	// Kill SIGKILLs backend 1 and restarts it, repeatedly, during the soak.
-	Kill bool
-	// NetFaults routes the last backend through a NetProxy cycling
-	// latency → clean → blackhole → clean windows.
-	NetFaults bool
-	// CacheMix, in (0,1), replaces that fraction of requests with
-	// alpha-renamed respellings of earlier formulas (SoakConfig.CacheMix), so
-	// the fleet's verdict caches see repeat fingerprints and the per-backend
-	// cache-affinity report measures something.
-	CacheMix float64
-	// KillInterval is the crash cadence (0 = 1500ms kill, restart after 700ms).
-	KillInterval time.Duration
-	// FaultWindow is each proxy-fault window's length (0 = 800ms).
-	FaultWindow time.Duration
-	// Log receives progress lines.
-	Log io.Writer
-}
+// The chaos soak's fixed shape: a hedging router over chaosBackends
+// sufserved processes; backend 1 is SIGKILLed every chaosKillInterval and
+// restarted half an interval later, and the last backend sits behind a
+// fault-injecting TCP proxy cycling latency → clean → blackhole → clean
+// windows of chaosFaultWindow each. The load is chaosRequests of RunSoak's
+// verifying requests, each with a fleetTimeoutMS deadline.
+const (
+	chaosBackends     = 3
+	chaosRequests     = 250
+	chaosKillInterval = 400 * time.Millisecond
+	chaosFaultWindow  = 300 * time.Millisecond
+)
 
-// ChaosReport is the JSON artifact of one chaos phase.
+// fleetTimeoutMS is the per-request deadline of the chaos and membership
+// soaks, and the router's default deadline.
+const fleetTimeoutMS = 8000
+
+// ChaosReport is the outcome of one chaos soak.
 type ChaosReport struct {
 	*SoakReport
-	Hedge       bool `json:"hedge"`
-	Kills       int  `json:"kills"`
-	Restarts    int  `json:"restarts"`
-	FaultCycles int  `json:"fault_cycles"`
+	Kills    int
+	Restarts int
 
 	// RouterTimeouts counts router-synthesized 504s: requests that reached
 	// their deadline with no backend answer. These count against
 	// availability — a definitive verdict or a clean 503 does not.
-	RouterTimeouts int64 `json:"router_timeouts"`
+	RouterTimeouts int64
 	// Availability = 1 − (transport errors + panics + router timeouts) /
 	// completed: the fraction of requests that got a definitive answer or a
 	// clean, retryable 503.
-	Availability float64 `json:"availability"`
-
-	// Router-side counters scraped from the router's /metrics after the load.
-	RouterFailovers float64 `json:"router_failovers"`
-	RouterHedges    float64 `json:"router_hedges"`
-	RouterHedgeWins float64 `json:"router_hedge_wins"`
-	RouterSheds     float64 `json:"router_sheds"`
-
-	// CacheAffinity is the per-backend verdict-cache view scraped from every
-	// backend after the load (set when ChaosConfig.CacheMix > 0): warm-node
-	// affinity across the kill/restart cycles.
-	CacheAffinity *AffinityReport `json:"cache_affinity,omitempty"`
+	Availability float64
 }
 
-// ChaosBenchReport is the two-phase chaos artifact (BENCH_PR6.json): the
-// same scripted chaos with hedging on and off. The headline number is the
-// tail-latency ratio — hedging must not make the p99 worse, and with a
-// blackholed backend in the fleet it should make it much better (an unhedged
-// request stuck in a blackhole pays its full deadline).
-type ChaosBenchReport struct {
-	Hedged   *ChaosReport `json:"hedged"`
-	Unhedged *ChaosReport `json:"unhedged"`
-	// HedgeP99SpeedupX = unhedged p99 / hedged p99 (>= 1 when hedging helps).
-	HedgeP99SpeedupX float64 `json:"hedge_p99_speedup_x"`
-}
-
-// WriteJSON renders the report as indented JSON.
-func (r *ChaosBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// RunChaos runs one chaos phase and returns its report. The router runs
-// in-process (so -race instruments it); the backends are real processes (so
-// SIGKILL is a real crash). On return every process is stopped and every
-// router goroutine joined.
-func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
-	if cfg.ServedBin == "" {
-		return nil, fmt.Errorf("bench: ChaosConfig.ServedBin is required")
-	}
-	if cfg.Backends <= 0 {
-		cfg.Backends = 3
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 10
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 300
-	}
-	if cfg.TimeoutMS <= 0 {
-		cfg.TimeoutMS = 8000
-	}
-	if cfg.KillInterval <= 0 {
-		cfg.KillInterval = 1500 * time.Millisecond
-	}
-	if cfg.FaultWindow <= 0 {
-		cfg.FaultWindow = 800 * time.Millisecond
-	}
+// RunChaos runs the chaos soak against the sufserved binary at servedBin
+// (BuildBinary) and returns its report; log, when non-nil, receives progress
+// lines. The router runs in-process (race-instrumented when the caller is);
+// the backends are real processes (so SIGKILL is a real crash). On return
+// every process is stopped and every router goroutine joined.
+func RunChaos(ctx context.Context, servedBin string, log io.Writer) (*ChaosReport, error) {
 	logf := func(format string, args ...any) {
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, format+"\n", args...)
+		if log != nil {
+			fmt.Fprintf(log, format+"\n", args...)
 		}
 	}
 
 	// Fleet: real sufserved processes.
-	procs := make([]*BackendProc, 0, cfg.Backends)
+	procs := make([]*BackendProc, 0, chaosBackends)
 	defer func() {
 		for _, p := range procs {
 			p.Stop(5 * time.Second)
 		}
 	}()
-	urls := make([]string, 0, cfg.Backends)
-	for i := 0; i < cfg.Backends; i++ {
-		p, err := StartBackend(ctx, cfg.ServedBin, "-queue", "64", "-quiet")
+	urls := make([]string, 0, chaosBackends)
+	for i := 0; i < chaosBackends; i++ {
+		p, err := StartBackend(ctx, servedBin, "-queue", "64", "-quiet")
 		if err != nil {
 			return nil, err
 		}
@@ -151,130 +79,82 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	}
 	logf("chaos: %d backends up", len(procs))
 
-	// Optional network-fault proxy in front of the last backend: the router
-	// dials the proxy, so latency/blackhole windows hit the wire the router
-	// sees, not the backend process.
-	var proxy *faultinject.NetProxy
-	if cfg.NetFaults {
-		target := strings.TrimPrefix(urls[len(urls)-1], "http://")
-		var err error
-		proxy, err = faultinject.NewProxy(target)
-		if err != nil {
-			return nil, err
-		}
-		defer proxy.Close()
-		urls[len(urls)-1] = "http://" + proxy.Addr()
-		proxy.SetLatency(250 * time.Millisecond)
-	}
-
-	// The router: in-process, fast probe cadence and short breaker cooldowns
-	// so recovery happens within the soak, generous budgets so the scripted
-	// faults — not budget exhaustion — dominate the measurement.
-	hedgeDelay := time.Duration(-1)
-	if cfg.Hedge {
-		hedgeDelay = 0 // auto: p95-derived
-	}
-	reg := obs.NewRegistry()
-	rt, err := router.New(router.Config{
-		Backends:       urls,
-		Registry:       reg,
-		HealthInterval: 100 * time.Millisecond,
-		ProbeTimeout:   500 * time.Millisecond,
-		MaxInFlight:    1024,
-		HedgeDelay:     hedgeDelay,
-		HedgeRatio:     0.5,
-		HedgeBurst:     32,
-		FailoverRatio:  0.5,
-		FailoverBurst:  32,
-		DefaultTimeout: time.Duration(cfg.TimeoutMS) * time.Millisecond,
-		Breaker: router.BreakerConfig{
-			BaseCooldown: 200 * time.Millisecond,
-			MaxCooldown:  2 * time.Second,
-		},
-	})
+	// Network-fault proxy in front of the last backend: the router dials the
+	// proxy, so latency/blackhole windows hit the wire the router sees, not
+	// the backend process.
+	proxy, err := faultinject.NewProxy(strings.TrimPrefix(urls[len(urls)-1], "http://"))
 	if err != nil {
 		return nil, err
 	}
-	front := httptest.NewServer(rt.Handler())
-	routerUp := true
-	defer func() {
-		if routerUp {
-			front.Close()
-			sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			rt.Shutdown(sctx) //nolint:errcheck
-			cancel()
-		}
-	}()
+	defer proxy.Close()
+	urls[len(urls)-1] = "http://" + proxy.Addr()
+	proxy.SetLatency(250 * time.Millisecond)
+
+	sr, err := startSoakRouter(urls)
+	if err != nil {
+		return nil, err
+	}
+	defer sr.close() //nolint:errcheck
 
 	// Chaos drivers.
 	chaosCtx, stopChaos := context.WithCancel(ctx)
 	defer stopChaos()
 	var chaosWG sync.WaitGroup
-	var kills, restarts, cycles atomic.Int64
-	if cfg.Kill && len(procs) >= 2 {
-		victim := procs[1]
-		chaosWG.Add(1)
-		go func() {
-			defer chaosWG.Done()
-			for {
-				if sleepDone(chaosCtx, cfg.KillInterval) {
-					return
-				}
-				victim.Kill() //nolint:errcheck
-				kills.Add(1)
-				logf("chaos: killed %s", victim.URL())
-				if sleepDone(chaosCtx, cfg.KillInterval/2) {
-					// Soak over mid-outage: restart so the deferred Stop has
-					// a live process and the fleet ends whole.
-					if err := victim.Restart(context.Background()); err == nil {
-						restarts.Add(1)
-					}
-					return
-				}
-				if err := victim.Restart(chaosCtx); err != nil {
-					if chaosCtx.Err() == nil {
-						logf("chaos: restart failed: %v", err)
-					} else if err := victim.Restart(context.Background()); err == nil {
-						restarts.Add(1)
-					}
-					return
-				}
-				restarts.Add(1)
-				logf("chaos: restarted %s", victim.URL())
+	var kills, restarts atomic.Int64
+	victim := procs[1]
+	chaosWG.Add(2)
+	go func() {
+		defer chaosWG.Done()
+		for {
+			if sleepDone(chaosCtx, chaosKillInterval) {
+				return
 			}
-		}()
-	}
-	if proxy != nil {
-		chaosWG.Add(1)
-		go func() {
-			defer chaosWG.Done()
-			modes := []faultinject.NetFault{
-				faultinject.FaultLatency, faultinject.FaultNone,
-				faultinject.FaultBlackhole, faultinject.FaultNone,
-			}
-			for i := 0; ; i++ {
-				if sleepDone(chaosCtx, cfg.FaultWindow) {
-					proxy.SetMode(faultinject.FaultNone)
-					return
+			victim.Kill() //nolint:errcheck
+			kills.Add(1)
+			logf("chaos: killed %s", victim.URL())
+			if sleepDone(chaosCtx, chaosKillInterval/2) {
+				// Soak over mid-outage: restart so the deferred Stop has a
+				// live process and the fleet ends whole.
+				if err := victim.Restart(context.Background()); err == nil {
+					restarts.Add(1)
 				}
-				m := modes[i%len(modes)]
-				proxy.SetMode(m)
-				if m == faultinject.FaultNone {
-					cycles.Add(1)
-				}
-				logf("chaos: proxy mode %s", m)
+				return
 			}
-		}()
-	}
+			if err := victim.Restart(chaosCtx); err != nil {
+				if chaosCtx.Err() == nil {
+					logf("chaos: restart failed: %v", err)
+				} else if err := victim.Restart(context.Background()); err == nil {
+					restarts.Add(1)
+				}
+				return
+			}
+			restarts.Add(1)
+			logf("chaos: restarted %s", victim.URL())
+		}
+	}()
+	go func() {
+		defer chaosWG.Done()
+		modes := []faultinject.NetFault{
+			faultinject.FaultLatency, faultinject.FaultNone,
+			faultinject.FaultBlackhole, faultinject.FaultNone,
+		}
+		for i := 0; ; i++ {
+			if sleepDone(chaosCtx, chaosFaultWindow) {
+				proxy.SetMode(faultinject.FaultNone)
+				return
+			}
+			m := modes[i%len(modes)]
+			proxy.SetMode(m)
+			logf("chaos: proxy mode %s", m)
+		}
+	}()
 
 	// The load itself: RunSoak's verifying clients pointed at the router.
 	rep, err := RunSoak(ctx, SoakConfig{
-		URL:       front.URL,
-		Clients:   cfg.Clients,
-		Requests:  cfg.Requests,
-		TimeoutMS: cfg.TimeoutMS,
-		CacheMix:  cfg.CacheMix,
-		Log:       cfg.Log,
+		URL:       sr.front.URL,
+		Requests:  chaosRequests,
+		TimeoutMS: fleetTimeoutMS,
+		Log:       log,
 	})
 	stopChaos()
 	chaosWG.Wait()
@@ -283,56 +163,77 @@ func RunChaos(ctx context.Context, cfg ChaosConfig) (*ChaosReport, error) {
 	}
 
 	crep := &ChaosReport{
-		SoakReport:  rep,
-		Hedge:       cfg.Hedge,
-		Kills:       int(kills.Load()),
-		Restarts:    int(restarts.Load()),
-		FaultCycles: int(cycles.Load()),
+		SoakReport:     rep,
+		Kills:          int(kills.Load()),
+		Restarts:       int(restarts.Load()),
+		RouterTimeouts: rep.Statuses["timeout"],
 	}
-	crep.RouterTimeouts = rep.Statuses["timeout"]
 	if rep.Completed > 0 {
 		crep.Availability = 1 - float64(rep.TransportErrors+rep.Panics+crep.RouterTimeouts)/float64(rep.Completed)
 	}
 
-	// Scrape the router before tearing it down.
-	if scrape, err := scrapeProm(front.URL + "/metrics"); err == nil {
-		crep.RouterFailovers = scrape.Sum("sufrouter_failovers_total")
-		crep.RouterHedges = scrape.Sum("sufrouter_hedges_total")
-		crep.RouterHedgeWins = scrape.Sum("sufrouter_hedge_wins_total")
-		crep.RouterSheds = scrape.Sum("sufrouter_sheds_total")
-	}
-	// Per-backend cache scrape, against each backend's real URL (not the
-	// fault proxy): the warm-node affinity view across the chaos.
-	if cfg.CacheMix > 0 {
-		victimIdx, proxiedIdx := -1, -1
-		if cfg.Kill && len(procs) >= 2 {
-			victimIdx = 1
-		}
-		if cfg.NetFaults {
-			proxiedIdx = len(procs) - 1
-		}
-		crep.CacheAffinity = collectAffinity(procs, victimIdx, proxiedIdx)
-		if a := crep.CacheAffinity; a != nil {
-			logf("chaos: cache affinity fleet=%.3f stable=%.3f victim=%.3f",
-				a.FleetHitRate, a.StableHitRate, a.VictimHitRate)
-		}
-	}
-
 	// Orderly teardown inside the run (not the deferred fallback) so leak
 	// checks around RunChaos see every router goroutine joined.
-	front.Close()
-	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := rt.Shutdown(sctx); err != nil {
+	if err := sr.close(); err != nil {
 		return nil, err
 	}
-	routerUp = false
+	logf("chaos: done — availability=%.4f kills=%d restarts=%d",
+		crep.Availability, crep.Kills, crep.Restarts)
+	return crep, nil
+}
+
+// soakRouter is the in-process router the chaos and membership soaks drive,
+// served on a loopback httptest front end.
+type soakRouter struct {
+	rt     *router.Router
+	front  *httptest.Server
+	closed bool
+}
+
+// startSoakRouter starts a router over urls with a fast probe cadence and
+// short breaker cooldowns, so recovery happens within the soak, automatic
+// (p95-derived) hedging, and generous retry budgets, so the scripted faults —
+// not budget exhaustion — dominate what the soak sees.
+func startSoakRouter(urls []string) (*soakRouter, error) {
+	rt, err := router.New(router.Config{
+		Backends:       urls,
+		Registry:       obs.NewRegistry(),
+		HealthInterval: 100 * time.Millisecond,
+		ProbeTimeout:   500 * time.Millisecond,
+		MaxInFlight:    1024,
+		HedgeDelay:     0, // auto: p95-derived
+		HedgeRatio:     0.5,
+		HedgeBurst:     32,
+		FailoverRatio:  0.5,
+		FailoverBurst:  32,
+		DefaultTimeout: fleetTimeoutMS * time.Millisecond,
+		Breaker: router.BreakerConfig{
+			BaseCooldown: 200 * time.Millisecond,
+			MaxCooldown:  2 * time.Second,
+		},
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &soakRouter{rt: rt, front: httptest.NewServer(rt.Handler())}, nil
+}
+
+// close stops the front end, drains the router and drops the default
+// transport's idle connections, so a leak check after it sees every router
+// goroutine joined. Calls after the first do nothing.
+func (s *soakRouter) close() error {
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	s.front.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	err := s.rt.Shutdown(ctx)
 	if t, ok := http.DefaultTransport.(*http.Transport); ok {
 		t.CloseIdleConnections()
 	}
-	logf("chaos: done — availability=%.4f kills=%d restarts=%d hedges=%.0f failovers=%.0f",
-		crep.Availability, crep.Kills, crep.Restarts, crep.RouterHedges, crep.RouterFailovers)
-	return crep, nil
+	return err
 }
 
 // sleepDone sleeps d or until ctx is done; it reports whether ctx ended the

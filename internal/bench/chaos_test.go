@@ -33,19 +33,7 @@ func TestChaosSoak(t *testing.T) {
 	var rep *bench.ChaosReport
 	lerr := faultinject.LeakCheck(func() {
 		var err error
-		rep, err = bench.RunChaos(context.Background(), bench.ChaosConfig{
-			ServedBin:    served,
-			Backends:     3,
-			Clients:      10,
-			Requests:     250,
-			TimeoutMS:    8000,
-			Hedge:        true,
-			Kill:         true,
-			NetFaults:    true,
-			KillInterval: 400 * time.Millisecond,
-			FaultWindow:  300 * time.Millisecond,
-			Log:          testLogWriter{t},
-		})
+		rep, err = bench.RunChaos(context.Background(), served, testLogWriter{t})
 		if err != nil {
 			t.Fatalf("chaos: %v", err)
 		}

@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"sync"
 	"time"
 
-	"sufsat/internal/obs"
 	"sufsat/internal/router"
 )
 
@@ -24,80 +22,61 @@ import (
 // the report can compare the survivors' verdict-cache warmth before and after
 // the ring reshuffles around the joiner.
 
-// MembershipConfig parameterizes RunMembershipChaos.
-type MembershipConfig struct {
-	// ServedBin is a built sufserved binary (BuildBinary).
-	ServedBin string
-	// Backends is the initial pool size (0 = 3); one more backend cold-joins
-	// in phase two.
-	Backends int
-	// Clients / Requests / TimeoutMS parameterize each phase's soak
-	// (0 = 10 / 300 / 8000).
-	Clients   int
-	Requests  int
-	TimeoutMS int64
-	// CacheMix is the alpha-renamed repeat fraction (0 = 0.5): the soak must
-	// exercise the verdict caches for the affinity comparison to measure
-	// anything.
-	CacheMix float64
-	// StepPause is the settle time between roll actions (0 = 300ms).
-	StepPause time.Duration
-	// MoveSlack is the per-step allowance over the 1/N fair share in the
-	// moved-keys gate (0 = 0.2; the tight bound lives in the ring property
-	// test, this gate catches full-reshuffle regressions).
-	MoveSlack float64
-	// Log receives progress lines.
-	Log io.Writer
-}
+// The membership soak's fixed shape: membershipBackends backends rolled one
+// by one, membershipStepPause apart, then one cold joiner; each phase is
+// membershipRequests of RunSoak's verifying requests with a
+// membershipCacheMix share of alpha-renamed repeats, so the verdict caches
+// are exercised for the survivor cache-hit comparison. A step may move at
+// most membershipMoveSlack more than its 1/N fair share of the sampled
+// keyspace: the tight bound lives in the ring property test, this gate
+// catches full-reshuffle regressions.
+const (
+	membershipBackends  = 3
+	membershipRequests  = 250
+	membershipCacheMix  = 0.5
+	membershipStepPause = 250 * time.Millisecond
+	membershipMoveSlack = 0.2
+)
 
 // MembershipStep records one membership action during the soak.
 type MembershipStep struct {
 	// Action: drain | kill | restart | rejoin | cold-join.
-	Action  string `json:"action"`
-	Backend string `json:"backend"`
+	Action  string
+	Backend string
 	// Epoch is the router's membership epoch after the action (0 for
 	// kill/restart, which are process events, not membership changes).
-	Epoch uint64 `json:"epoch,omitempty"`
+	Epoch uint64
 	// MovedRatio is the sampled keyspace fraction the action moved;
 	// MoveBound is the 1/N-fair-share gate it must stay under (0 = ungated).
-	MovedRatio float64 `json:"moved_ratio"`
-	MoveBound  float64 `json:"move_bound,omitempty"`
+	MovedRatio float64
+	MoveBound  float64
 }
 
-// MembershipReport is the artifact of one rolling-upgrade membership soak.
+// MembershipReport is the outcome of one rolling-upgrade membership soak.
 type MembershipReport struct {
-	// Roll is phase one (every backend rolled); Join is phase two (a cold
-	// backend added mid-load).
-	Roll *SoakReport `json:"roll"`
-	Join *SoakReport `json:"join"`
-
-	Steps []MembershipStep `json:"steps"`
+	Steps []MembershipStep
 
 	// FinalEpoch must equal ExpectedEpoch: 1 (construction) + 2 per rolled
 	// backend (drain + rejoin) + 1 (cold join). Kills and restarts are
 	// process events and must NOT move the epoch.
-	FinalEpoch    uint64 `json:"final_epoch"`
-	ExpectedEpoch uint64 `json:"expected_epoch"`
+	FinalEpoch    uint64
+	ExpectedEpoch uint64
 
 	// MoveBoundViolations counts steps whose MovedRatio exceeded MoveBound.
-	MoveBoundViolations int `json:"move_bound_violations"`
+	MoveBoundViolations int
 
-	// Aggregates over both phases.
-	Completed       int64   `json:"completed"`
-	Mismatches      int64   `json:"mismatches"`
-	TransportErrors int64   `json:"transport_errors"`
-	Panics          int64   `json:"panics"`
-	RouterTimeouts  int64   `json:"router_timeouts"`
-	Availability    float64 `json:"availability"`
+	// Aggregates over both phases (roll, then cold join).
+	Mismatches      int64
+	TransportErrors int64
+	Panics          int64
+	RouterTimeouts  int64
+	Availability    float64
 
 	// SurvivorHitsBeforeJoin / SurvivorHitsAfterJoin sum the original pool's
 	// sufsat_cache_hits_total around phase two: warm survivors must keep
 	// serving cache hits after the ring reshuffles around the joiner.
-	SurvivorHitsBeforeJoin float64 `json:"survivor_hits_before_join"`
-	SurvivorHitsAfterJoin  float64 `json:"survivor_hits_after_join"`
-
-	// Affinity is the final per-backend cache view, joiner included.
-	Affinity *AffinityReport `json:"affinity,omitempty"`
+	SurvivorHitsBeforeJoin float64
+	SurvivorHitsAfterJoin  float64
 }
 
 // adminChange posts one membership verb to the router's admin endpoint and
@@ -155,52 +134,30 @@ func survivorCacheHits(procs []*BackendProc) float64 {
 	return hits
 }
 
-// RunMembershipChaos runs the rolling-upgrade membership soak and returns its
-// report. The router runs in-process (race-instrumented when the caller is);
-// the backends are real sufserved processes so the mid-roll SIGKILL is a real
-// crash. On return every process is stopped and every router goroutine
-// joined — callers wrap the whole run in faultinject.LeakCheck.
-func RunMembershipChaos(ctx context.Context, cfg MembershipConfig) (*MembershipReport, error) {
-	if cfg.ServedBin == "" {
-		return nil, fmt.Errorf("bench: MembershipConfig.ServedBin is required")
-	}
-	if cfg.Backends <= 0 {
-		cfg.Backends = 3
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 10
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 300
-	}
-	if cfg.TimeoutMS <= 0 {
-		cfg.TimeoutMS = 8000
-	}
-	if cfg.CacheMix <= 0 {
-		cfg.CacheMix = 0.5
-	}
-	if cfg.StepPause <= 0 {
-		cfg.StepPause = 300 * time.Millisecond
-	}
-	if cfg.MoveSlack <= 0 {
-		cfg.MoveSlack = 0.2
-	}
+// RunMembershipChaos runs the rolling-upgrade membership soak against the
+// sufserved binary at servedBin (BuildBinary) and returns its report; log,
+// when non-nil, receives progress lines. The router runs in-process
+// (race-instrumented when the caller is); the backends are real sufserved
+// processes so the mid-roll SIGKILL is a real crash. On return every process
+// is stopped and every router goroutine joined — callers wrap the whole run
+// in faultinject.LeakCheck.
+func RunMembershipChaos(ctx context.Context, servedBin string, log io.Writer) (*MembershipReport, error) {
 	logf := func(format string, args ...any) {
-		if cfg.Log != nil {
-			fmt.Fprintf(cfg.Log, format+"\n", args...)
+		if log != nil {
+			fmt.Fprintf(log, format+"\n", args...)
 		}
 	}
 
 	// The initial fleet, plus the phase-two joiner started later.
-	procs := make([]*BackendProc, 0, cfg.Backends+1)
+	procs := make([]*BackendProc, 0, membershipBackends+1)
 	defer func() {
 		for _, p := range procs {
 			p.Stop(5 * time.Second)
 		}
 	}()
-	urls := make([]string, 0, cfg.Backends)
-	for i := 0; i < cfg.Backends; i++ {
-		p, err := StartBackend(ctx, cfg.ServedBin, "-queue", "64", "-quiet")
+	urls := make([]string, 0, membershipBackends)
+	for i := 0; i < membershipBackends; i++ {
+		p, err := StartBackend(ctx, servedBin, "-queue", "64", "-quiet")
 		if err != nil {
 			return nil, err
 		}
@@ -209,39 +166,14 @@ func RunMembershipChaos(ctx context.Context, cfg MembershipConfig) (*MembershipR
 	}
 	logf("membership: %d backends up", len(procs))
 
-	reg := obs.NewRegistry()
-	rt, err := router.New(router.Config{
-		Backends:       urls,
-		Registry:       reg,
-		HealthInterval: 100 * time.Millisecond,
-		ProbeTimeout:   500 * time.Millisecond,
-		MaxInFlight:    1024,
-		HedgeDelay:     0, // auto: p95-derived
-		HedgeRatio:     0.5,
-		HedgeBurst:     32,
-		FailoverRatio:  0.5,
-		FailoverBurst:  32,
-		DefaultTimeout: time.Duration(cfg.TimeoutMS) * time.Millisecond,
-		Breaker: router.BreakerConfig{
-			BaseCooldown: 200 * time.Millisecond,
-			MaxCooldown:  2 * time.Second,
-		},
-	})
+	sr, err := startSoakRouter(urls)
 	if err != nil {
 		return nil, err
 	}
-	front := httptest.NewServer(rt.Handler())
-	routerUp := true
-	defer func() {
-		if routerUp {
-			front.Close()
-			sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			rt.Shutdown(sctx) //nolint:errcheck
-			cancel()
-		}
-	}()
+	defer sr.close() //nolint:errcheck
+	front := sr.front
 
-	rep := &MembershipReport{ExpectedEpoch: uint64(1 + 2*cfg.Backends + 1)}
+	rep := &MembershipReport{ExpectedEpoch: 1 + 2*membershipBackends + 1}
 	var stepMu sync.Mutex
 	record := func(action, backend string, ch *router.MembershipChange, fair float64) {
 		st := MembershipStep{Action: action, Backend: backend}
@@ -249,7 +181,7 @@ func RunMembershipChaos(ctx context.Context, cfg MembershipConfig) (*MembershipR
 			st.Epoch = ch.Epoch
 			st.MovedRatio = ch.KeysMovedRatio
 			if fair > 0 {
-				st.MoveBound = fair + cfg.MoveSlack
+				st.MoveBound = fair + membershipMoveSlack
 				if st.MovedRatio > st.MoveBound {
 					rep.MoveBoundViolations++
 				}
@@ -269,8 +201,8 @@ func RunMembershipChaos(ctx context.Context, cfg MembershipConfig) (*MembershipR
 	defer stopRoll()
 	rollDone := make(chan error, 1)
 	go func() {
-		n := float64(cfg.Backends)
-		for i, p := range procs[:cfg.Backends] {
+		const n = float64(membershipBackends)
+		for i, p := range procs[:membershipBackends] {
 			u := p.URL()
 			ch, err := adminChange(front.URL, "drain", u)
 			if err != nil {
@@ -280,7 +212,7 @@ func RunMembershipChaos(ctx context.Context, cfg MembershipConfig) (*MembershipR
 			// A drained member's keys scatter over the other N−1: fair share
 			// moved is its own 1/N slice.
 			record("drain", u, ch, 1/n)
-			if sleepDone(rollCtx, cfg.StepPause) {
+			if sleepDone(rollCtx, membershipStepPause) {
 				rollDone <- rollCtx.Err()
 				return
 			}
@@ -300,35 +232,36 @@ func RunMembershipChaos(ctx context.Context, cfg MembershipConfig) (*MembershipR
 				return
 			}
 			record("rejoin", u, ch, 1/n)
-			if sleepDone(rollCtx, cfg.StepPause) {
+			if sleepDone(rollCtx, membershipStepPause) {
 				rollDone <- rollCtx.Err()
 				return
 			}
-			logf("membership: rolled %d/%d", i+1, cfg.Backends)
+			logf("membership: rolled %d/%d", i+1, membershipBackends)
 		}
 		rollDone <- nil
 	}()
 
-	rollRep, err := RunSoak(ctx, SoakConfig{
-		URL:       front.URL,
-		Clients:   cfg.Clients,
-		Requests:  cfg.Requests,
-		TimeoutMS: cfg.TimeoutMS,
-		CacheMix:  cfg.CacheMix,
-		Log:       cfg.Log,
-	})
+	soak := func() (*SoakReport, error) {
+		return RunSoak(ctx, SoakConfig{
+			URL:       front.URL,
+			Requests:  membershipRequests,
+			TimeoutMS: fleetTimeoutMS,
+			CacheMix:  membershipCacheMix,
+			Log:       log,
+		})
+	}
+	rollRep, err := soak()
 	if err != nil {
 		return nil, err
 	}
 	if err := <-rollDone; err != nil {
 		return nil, fmt.Errorf("bench: roll phase: %w", err)
 	}
-	rep.Roll = rollRep
 
 	// Phase two: cold-join a brand-new backend via the declarative PUT and
 	// soak again. Survivor cache warmth is sampled on both sides of the join.
-	rep.SurvivorHitsBeforeJoin = survivorCacheHits(procs[:cfg.Backends])
-	joiner, err := StartBackend(ctx, cfg.ServedBin, "-queue", "64", "-quiet")
+	rep.SurvivorHitsBeforeJoin = survivorCacheHits(procs[:membershipBackends])
+	joiner, err := StartBackend(ctx, servedBin, "-queue", "64", "-quiet")
 	if err != nil {
 		return nil, err
 	}
@@ -339,61 +272,31 @@ func RunMembershipChaos(ctx context.Context, cfg MembershipConfig) (*MembershipR
 		return nil, fmt.Errorf("bench: cold join: %w", err)
 	}
 	// The joiner's fair share of an N+1 pool.
-	record("cold-join", joiner.URL(), ch, 1/float64(cfg.Backends+1))
+	record("cold-join", joiner.URL(), ch, 1/float64(membershipBackends+1))
 
-	joinRep, err := RunSoak(ctx, SoakConfig{
-		URL:       front.URL,
-		Clients:   cfg.Clients,
-		Requests:  cfg.Requests,
-		TimeoutMS: cfg.TimeoutMS,
-		CacheMix:  cfg.CacheMix,
-		Log:       cfg.Log,
-	})
+	joinRep, err := soak()
 	if err != nil {
 		return nil, err
 	}
-	rep.Join = joinRep
-	rep.SurvivorHitsAfterJoin = survivorCacheHits(procs[:cfg.Backends])
-	rep.Affinity = collectAffinity(procs, -1, -1)
+	rep.SurvivorHitsAfterJoin = survivorCacheHits(procs[:membershipBackends])
 
-	rep.FinalEpoch = rt.Epoch()
-	rep.Completed = rollRep.Completed + joinRep.Completed
+	rep.FinalEpoch = sr.rt.Epoch()
+	completed := rollRep.Completed + joinRep.Completed
 	rep.Mismatches = rollRep.Mismatches + joinRep.Mismatches
 	rep.TransportErrors = rollRep.TransportErrors + joinRep.TransportErrors
 	rep.Panics = rollRep.Panics + joinRep.Panics
 	rep.RouterTimeouts = rollRep.Statuses["timeout"] + joinRep.Statuses["timeout"]
-	if rep.Completed > 0 {
-		rep.Availability = 1 - float64(rep.TransportErrors+rep.Panics+rep.RouterTimeouts)/float64(rep.Completed)
+	if completed > 0 {
+		rep.Availability = 1 - float64(rep.TransportErrors+rep.Panics+rep.RouterTimeouts)/float64(completed)
 	}
 
 	// Orderly teardown inside the run so LeakCheck around it sees every
 	// router goroutine joined and every member's conn pool dropped.
-	front.Close()
-	sctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := rt.Shutdown(sctx); err != nil {
+	if err := sr.close(); err != nil {
 		return nil, err
-	}
-	routerUp = false
-	if t, ok := http.DefaultTransport.(*http.Transport); ok {
-		t.CloseIdleConnections()
 	}
 	logf("membership: done — epoch=%d/%d availability=%.4f mismatches=%d moved-violations=%d survivors hits %.0f→%.0f",
 		rep.FinalEpoch, rep.ExpectedEpoch, rep.Availability, rep.Mismatches,
 		rep.MoveBoundViolations, rep.SurvivorHitsBeforeJoin, rep.SurvivorHitsAfterJoin)
 	return rep, nil
-}
-
-// PR9Report is the dynamic-membership artifact (BENCH_PR9.json): the
-// rolling-upgrade membership soak with its per-step key-movement record and
-// the survivor cache-warmth comparison around the cold join.
-type PR9Report struct {
-	Membership *MembershipReport `json:"membership"`
-}
-
-// WriteJSON writes the report, indented, to w.
-func (r *PR9Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }

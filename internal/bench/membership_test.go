@@ -40,16 +40,7 @@ func TestMembershipSoak(t *testing.T) {
 	var rep *bench.MembershipReport
 	lerr := faultinject.LeakCheck(func() {
 		var err error
-		rep, err = bench.RunMembershipChaos(context.Background(), bench.MembershipConfig{
-			ServedBin: served,
-			Backends:  3,
-			Clients:   10,
-			Requests:  250,
-			TimeoutMS: 8000,
-			CacheMix:  0.5,
-			StepPause: 250 * time.Millisecond,
-			Log:       testLogWriter{t},
-		})
+		rep, err = bench.RunMembershipChaos(context.Background(), served, testLogWriter{t})
 		if err != nil {
 			t.Fatalf("membership chaos: %v", err)
 		}

@@ -27,24 +27,24 @@ import (
 type FlightKind uint32
 
 const (
-	FlightSpan        FlightKind = iota + 1 // a pipeline span ended (name = span, dur set)
-	FlightAdmit                             // request admitted to the queue
-	FlightStart                             // worker began executing a request
-	FlightDone                              // response written (name = status)
-	FlightShed                              // request shed (name = reason)
-	FlightDegrade                           // degradation ladder engaged (name = reason)
-	FlightPanic                             // contained per-request panic
-	FlightMalformed                         // pre-admission rejection
-	FlightCacheHit                          // verdict served from the cache (val: 0 = lookup, 1 = single-flight join)
-	FlightCacheMiss                         // cache lookup missed; a fresh solve follows
-	FlightCacheParked                       // single-flight follower parked behind the leader
-	FlightCacheWoken                        // parked follower woken (val: 1 = usable verdict, 0 = solves alone)
-	FlightMemberJoin                        // backend joined or reactivated (name = host:port, val = epoch)
-	FlightMemberDrain                       // backend drained out of the ring (name = host:port, val = epoch)
-	FlightMemberRemove                      // backend removed from the pool (name = host:port, val = epoch)
-	FlightSLOBurn                           // SLO entered burning state (name = objective, val = fast burn x1000)
-	FlightSLOClear                          // SLO recovered to ok (name = objective, val = fast burn x1000)
-	FlightProfile                           // trigger-fired profile captured (name = trigger, req/trace ID attached)
+	FlightSpan         FlightKind = iota + 1 // a pipeline span ended (name = span, dur set)
+	FlightAdmit                              // request admitted to the queue
+	FlightStart                              // worker began executing a request
+	FlightDone                               // response written (name = status)
+	FlightShed                               // request shed (name = reason)
+	FlightDegrade                            // degradation ladder engaged (name = reason)
+	FlightPanic                              // contained per-request panic
+	FlightMalformed                          // pre-admission rejection
+	FlightCacheHit                           // verdict served from the cache (val: 0 = lookup, 1 = single-flight join)
+	FlightCacheMiss                          // cache lookup missed; a fresh solve follows
+	FlightCacheParked                        // single-flight follower parked behind the leader
+	FlightCacheWoken                         // parked follower woken (val: 1 = usable verdict, 0 = solves alone)
+	FlightMemberJoin                         // backend joined or reactivated (name = host:port, val = epoch)
+	FlightMemberDrain                        // backend drained out of the ring (name = host:port, val = epoch)
+	FlightMemberRemove                       // backend removed from the pool (name = host:port, val = epoch)
+	FlightSLOBurn                            // SLO entered burning state (name = objective, val = fast burn x1000)
+	FlightSLOClear                           // SLO recovered to ok (name = objective, val = fast burn x1000)
+	FlightProfile                            // trigger-fired profile captured (name = trigger, req/trace ID attached)
 )
 
 // String returns the dump-schema name of the kind.

@@ -354,31 +354,6 @@ func (h *History) WindowBuckets(family string, window time.Duration) (bounds, cu
 	return bounds, cum, total, true
 }
 
-// quantileFromCum interpolates quantile q from cumulative windowed buckets
-// (the same linear-in-bucket rule as obs.HistQuantile). Returns NaN when the
-// window saw no observations.
-func quantileFromCum(q float64, bounds, cum []float64) float64 {
-	if len(cum) == 0 || cum[len(cum)-1] <= 0 {
-		return math.NaN()
-	}
-	total := cum[len(cum)-1]
-	rank := q * total
-	prevCum, prevLE := 0.0, 0.0
-	for i, b := range bounds {
-		if cum[i] >= rank {
-			if math.IsInf(b, +1) {
-				return prevLE
-			}
-			if cum[i] == prevCum {
-				return b
-			}
-			return prevLE + (b-prevLE)*(rank-prevCum)/(cum[i]-prevCum)
-		}
-		prevCum, prevLE = cum[i], b
-	}
-	return prevLE
-}
-
 // Point is one sparkline sample: per-interval rate for counter-kind
 // families, absolute value for gauges.
 type Point struct {
@@ -589,9 +564,9 @@ func (h *History) Window(family string, window time.Duration) (FamilyWindow, boo
 			for i, le := range bounds {
 				cum[i] = byLe[le]
 			}
-			cw.P50 = sanitize(quantileFromCum(0.50, bounds, cum))
-			cw.P95 = sanitize(quantileFromCum(0.95, bounds, cum))
-			cw.P99 = sanitize(quantileFromCum(0.99, bounds, cum))
+			cw.P50 = sanitize(obs.BucketQuantile(0.50, bounds, cum))
+			cw.P95 = sanitize(obs.BucketQuantile(0.95, bounds, cum))
+			cw.P99 = sanitize(obs.BucketQuantile(0.99, bounds, cum))
 			if len(cum) > 0 {
 				cw.Delta = sanitize(cum[len(cum)-1])
 				cw.RatePerSec = sanitize(cum[len(cum)-1] / elapsed)

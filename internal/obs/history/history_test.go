@@ -146,15 +146,15 @@ func TestWindowBucketsAndQuantiles(t *testing.T) {
 	if cum[0] != 90 || cum[1] != 100 || cum[2] != 100 {
 		t.Fatalf("cum = %v, want [90 100 100]", cum)
 	}
-	p50 := quantileFromCum(0.50, bounds, cum)
+	p50 := obs.BucketQuantile(0.50, bounds, cum)
 	if p50 <= 0 || p50 > 0.1 {
 		t.Fatalf("p50 = %v, want within (0, 0.1]", p50)
 	}
-	p99 := quantileFromCum(0.99, bounds, cum)
+	p99 := obs.BucketQuantile(0.99, bounds, cum)
 	if p99 <= 0.1 || p99 > 1 {
 		t.Fatalf("p99 = %v, want within (0.1, 1]", p99)
 	}
-	if !math.IsNaN(quantileFromCum(0.5, nil, nil)) {
+	if !math.IsNaN(obs.BucketQuantile(0.5, nil, nil)) {
 		t.Fatal("empty quantile should be NaN")
 	}
 }

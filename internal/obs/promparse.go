@@ -417,36 +417,47 @@ func validateFamily(f *PromFamily) error {
 }
 
 // HistQuantile estimates the q-quantile (0 < q < 1) of a histogram family's
-// bucket samples using linear interpolation within the landing bucket — the
-// classic Prometheus histogram_quantile. The buckets must be one label set's
+// bucket samples with BucketQuantile. The buckets must be one label set's
 // cumulative le-ordered series; pass the delta of two scrapes for a windowed
 // quantile. Returns 0 when the histogram is empty.
 func HistQuantile(q float64, buckets []PromSample) float64 {
-	if len(buckets) == 0 {
-		return 0
-	}
-	total := buckets[len(buckets)-1].Value
-	if total <= 0 {
-		return 0
-	}
-	rank := q * total
-	prevCum, prevLE := 0.0, 0.0
-	for _, b := range buckets {
+	bounds := make([]float64, len(buckets))
+	cum := make([]float64, len(buckets))
+	for i, b := range buckets {
 		le, err := strconv.ParseFloat(b.Labels["le"], 64)
 		if err != nil {
 			le = math.Inf(1)
 		}
-		if b.Value >= rank {
+		bounds[i], cum[i] = le, b.Value
+	}
+	if v := BucketQuantile(q, bounds, cum); !math.IsNaN(v) {
+		return v
+	}
+	return 0
+}
+
+// BucketQuantile estimates the q-quantile (0 < q < 1) of a histogram from its
+// ascending bucket upper bounds and their cumulative counts, using linear
+// interpolation within the landing bucket — the classic Prometheus
+// histogram_quantile. A rank landing in the unbounded +Inf bucket returns the
+// last finite bound. Returns NaN when the histogram holds no observations.
+func BucketQuantile(q float64, bounds, cum []float64) float64 {
+	if len(cum) == 0 || cum[len(cum)-1] <= 0 {
+		return math.NaN()
+	}
+	rank := q * cum[len(cum)-1]
+	prevCum, prevLE := 0.0, 0.0
+	for i, le := range bounds {
+		if cum[i] >= rank {
 			if math.IsInf(le, 1) {
-				return prevLE // the tail bucket has no upper bound
+				return prevLE
 			}
-			inBucket := b.Value - prevCum
-			if inBucket <= 0 {
+			if cum[i] == prevCum {
 				return le
 			}
-			return prevLE + (le-prevLE)*((rank-prevCum)/inBucket)
+			return prevLE + (le-prevLE)*(rank-prevCum)/(cum[i]-prevCum)
 		}
-		prevCum, prevLE = b.Value, le
+		prevCum, prevLE = cum[i], le
 	}
 	return prevLE
 }

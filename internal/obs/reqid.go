@@ -38,6 +38,20 @@ func ValidRequestID(id string) bool {
 	return true
 }
 
+// ResolveRequestID picks a request's correlation ID with the precedence
+// every tier shares: a valid X-Request-Id header, then a valid request_id
+// from the body, then a freshly minted ID. Pass body "" when the body has not
+// been decoded, as on shed and malformed responses.
+func ResolveRequestID(header, body string) string {
+	if ValidRequestID(header) {
+		return header
+	}
+	if ValidRequestID(body) {
+		return body
+	}
+	return NewRequestID()
+}
+
 // SetRequestID attaches the request's correlation ID to the recorder; spans
 // ended on this recorder carry it into the flight ring, and Snapshot.Finish
 // stamps it onto the snapshot. No-op on nil.

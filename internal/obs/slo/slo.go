@@ -73,18 +73,16 @@ type Config struct {
 	// FastWindow and SlowWindow are the two burn-rate windows
 	// (defaults 5m and 1h).
 	FastWindow, SlowWindow time.Duration
-	// BurnThreshold is the burn rate at which both windows must arrive for
-	// the objective to be burning (default 1.0 — budget consumed exactly as
-	// fast as it accrues).
-	BurnThreshold float64
 }
 
 const (
 	// DefaultFastWindow and DefaultSlowWindow are the standard window pair.
 	DefaultFastWindow = 5 * time.Minute
 	DefaultSlowWindow = time.Hour
-	// DefaultBurnThreshold is the default burning cutoff.
-	DefaultBurnThreshold = 1.0
+	// BurnThreshold is the burn rate at which both windows must arrive for
+	// the objective to be burning: 1.0, budget consumed exactly as fast as
+	// it accrues.
+	BurnThreshold = 1.0
 )
 
 // State is an objective's evaluation state.
@@ -167,9 +165,6 @@ func New(reg *obs.Registry, hist *history.History, flight *obs.FlightRecorder, p
 	}
 	if cfg.SlowWindow < cfg.FastWindow {
 		cfg.SlowWindow = cfg.FastWindow
-	}
-	if cfg.BurnThreshold <= 0 {
-		cfg.BurnThreshold = DefaultBurnThreshold
 	}
 	e := &Engine{hist: hist, flight: flight, cfg: cfg}
 	for _, obj := range objectives {
@@ -298,9 +293,9 @@ func (e *Engine) Evaluate() {
 		prev := State(st.state.Load())
 		next := prev
 		switch {
-		case fast >= e.cfg.BurnThreshold && slow >= e.cfg.BurnThreshold:
+		case fast >= BurnThreshold && slow >= BurnThreshold:
 			next = StateBurning
-		case fast < e.cfg.BurnThreshold:
+		case fast < BurnThreshold:
 			next = StateOK
 		default:
 			// Fast window recovered past the threshold but slow has not:

@@ -26,10 +26,10 @@ func TestParseBackendList(t *testing.T) {
 	}
 
 	_, err = ParseBackendList([]string{
-		"ftp://a:1",        // bad scheme
-		"http://",          // no host
-		"http://ok:1",      // fine
-		"http://ok:1/",     // duplicate of the fine one after normalization
+		"ftp://a:1",    // bad scheme
+		"http://",      // no host
+		"http://ok:1",  // fine
+		"http://ok:1/", // duplicate of the fine one after normalization
 		"://not-a-url at all",
 	})
 	if err == nil {

@@ -109,16 +109,13 @@ type Config struct {
 	// /debug/history.
 	HistoryInterval time.Duration
 	HistorySlots    int
-	// SLOFastWindow/SLOSlowWindow/SLOBurnThreshold tune the burn-rate
-	// engine (zero = the slo package defaults: 5m, 1h, 1.0).
-	SLOFastWindow    time.Duration
-	SLOSlowWindow    time.Duration
-	SLOBurnThreshold float64
-	// SLOObjectives overrides the evaluated objective set (nil =
-	// slo.RouterObjectives parameterized by the latency bounds below).
-	SLOObjectives []slo.Objective
-	// SLOLatencyP95/SLOLatencyP99 parameterize the default latency
-	// objectives (0 = 1s / 4s — router budgets sit above the backend's).
+	// SLOFastWindow/SLOSlowWindow set the burn-rate engine's two windows
+	// (zero = the slo package defaults: 5m, 1h).
+	SLOFastWindow time.Duration
+	SLOSlowWindow time.Duration
+	// SLOLatencyP95/SLOLatencyP99 parameterize the slo.RouterObjectives
+	// latency objectives (0 = 1s / 4s — router budgets sit above the
+	// backend's).
 	SLOLatencyP95 time.Duration
 	SLOLatencyP99 time.Duration
 	// ProfileDir/ProfileCPUDuration/ProfileMinGap tune trigger-fired
@@ -238,14 +235,10 @@ func New(cfg Config) (*Router, error) {
 			Slots:      c.HistorySlots,
 			OnSnapshot: func() { rt.slos.Evaluate() },
 		})
-		objs := c.SLOObjectives
-		if objs == nil {
-			objs = slo.RouterObjectives(c.SLOLatencyP95, c.SLOLatencyP99)
-		}
+		objs := slo.RouterObjectives(c.SLOLatencyP95, c.SLOLatencyP99)
 		rt.slos = slo.New(c.Registry, rt.hist, obs.Flight, "sufrouter", objs, slo.Config{
-			FastWindow:    c.SLOFastWindow,
-			SlowWindow:    c.SLOSlowWindow,
-			BurnThreshold: c.SLOBurnThreshold,
+			FastWindow: c.SLOFastWindow,
+			SlowWindow: c.SLOSlowWindow,
 		})
 		rt.profiles = obs.NewProfileStore(obs.ProfileConfig{
 			Dir:         c.ProfileDir,
@@ -557,15 +550,19 @@ func (rt *Router) handleDecide(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	// Correlation ID: obs.ResolveRequestID, the backend's precedence, so
+	// one ID spans router log, backend log and response. Responses written
+	// before the body is decoded take the header's ID or a minted one.
+	hdrID := r.Header.Get("X-Request-Id")
 	if rt.draining.Load() {
-		rt.shed(w, r.Header.Get("X-Request-Id"), ShedDraining, time.Second, start)
+		rt.shed(w, obs.ResolveRequestID(hdrID, ""), ShedDraining, time.Second, start)
 		return
 	}
 	// Admission: a full router answers 503 immediately; it never queues, so
 	// backpressure propagates to clients instead of accumulating here.
 	if n := rt.inFlight.Add(1); n > int64(rt.cfg.MaxInFlight) {
 		rt.inFlight.Add(-1)
-		rt.shed(w, r.Header.Get("X-Request-Id"), ShedRouterFull, time.Second, start)
+		rt.shed(w, obs.ResolveRequestID(hdrID, ""), ShedRouterFull, time.Second, start)
 		return
 	}
 	defer rt.inFlight.Add(-1)
@@ -574,26 +571,19 @@ func (rt *Router) handleDecide(w http.ResponseWriter, r *http.Request) {
 
 	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxRequestBytes+1))
 	if err != nil {
-		rt.malformed(w, "", "read request body: "+err.Error(), start)
+		rt.malformed(w, obs.ResolveRequestID(hdrID, ""), "read request body: "+err.Error(), start)
 		return
 	}
 	if int64(len(body)) > rt.cfg.MaxRequestBytes {
-		rt.malformed(w, "", fmt.Sprintf("request body exceeds %d bytes", rt.cfg.MaxRequestBytes), start)
+		rt.malformed(w, obs.ResolveRequestID(hdrID, ""), fmt.Sprintf("request body exceeds %d bytes", rt.cfg.MaxRequestBytes), start)
 		return
 	}
 	var req server.Request
 	if err := json.Unmarshal(body, &req); err != nil {
-		rt.malformed(w, "", "decode request: "+err.Error(), start)
+		rt.malformed(w, obs.ResolveRequestID(hdrID, ""), "decode request: "+err.Error(), start)
 		return
 	}
-	// Correlation ID: header wins, then body, else mint — the same precedence
-	// as the backend, so one ID spans router log, backend log and response.
-	if hid := r.Header.Get("X-Request-Id"); hid != "" {
-		req.RequestID = hid
-	}
-	if !obs.ValidRequestID(req.RequestID) {
-		req.RequestID = obs.NewRequestID()
-	}
+	req.RequestID = obs.ResolveRequestID(hdrID, req.RequestID)
 
 	fp, err := Fingerprint(req.Formula, req.SMT2)
 	if err != nil {

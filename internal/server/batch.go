@@ -86,13 +86,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, malformed(fmt.Sprintf("batch of %d exceeds limit %d", len(breq.Items), s.cfg.MaxBatch)))
 		return
 	}
-	batchID := r.Header.Get("X-Request-Id")
-	if !obs.ValidRequestID(batchID) {
-		batchID = breq.RequestID
-	}
-	if !obs.ValidRequestID(batchID) {
-		batchID = obs.NewRequestID()
-	}
+	batchID := obs.ResolveRequestID(r.Header.Get("X-Request-Id"), breq.RequestID)
 	traceID, parentSpan, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
 
 	out := &BatchResponse{

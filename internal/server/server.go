@@ -65,6 +65,10 @@ const (
 	StageRespond = "server.respond"
 )
 
+// minRetryBudget is the least remaining deadline worth a ResourceOut retry
+// on the lazy path.
+const minRetryBudget = 20 * time.Millisecond
+
 // Config parameterizes a Server. The zero value serves with the documented
 // defaults.
 type Config struct {
@@ -90,9 +94,6 @@ type Config struct {
 	DegradeDepth int
 	// NoDegrade disables the degradation ladder server-wide.
 	NoDegrade bool
-	// MinRetryBudget is the minimum remaining deadline for a ResourceOut
-	// retry on the lazy path (0 = 20ms).
-	MinRetryBudget time.Duration
 	// NoCache disables the verdict cache (and its single-flight collapsing)
 	// server-wide; individual requests opt out with Request.NoCache.
 	NoCache bool
@@ -115,9 +116,6 @@ type Config struct {
 	// stage hooks. A returned error fails the request with a structured 500;
 	// a panic is contained like any per-request panic.
 	Hook func(stage string) error
-	// Probe receives admission-control metrics (nil = a fresh probe,
-	// readable via Server.Probe).
-	Probe *obs.ServiceProbe
 	// Log, when non-nil, receives one line per lifecycle event.
 	Log io.Writer
 	// Metrics, when non-nil, receives the aggregated metric families
@@ -143,16 +141,12 @@ type Config struct {
 	// history.DefaultSlots). Served at /debug/history.
 	HistoryInterval time.Duration
 	HistorySlots    int
-	// SLOFastWindow/SLOSlowWindow/SLOBurnThreshold tune the burn-rate
-	// engine (zero = the slo package defaults: 5m, 1h, 1.0).
-	SLOFastWindow    time.Duration
-	SLOSlowWindow    time.Duration
-	SLOBurnThreshold float64
-	// SLOObjectives overrides the evaluated objective set (nil =
-	// slo.ServerObjectives parameterized by the latency bounds below).
-	SLOObjectives []slo.Objective
-	// SLOLatencyP95/SLOLatencyP99 parameterize the default latency
-	// objectives (0 = 500ms / 2s).
+	// SLOFastWindow/SLOSlowWindow set the burn-rate engine's two windows
+	// (zero = the slo package defaults: 5m, 1h).
+	SLOFastWindow time.Duration
+	SLOSlowWindow time.Duration
+	// SLOLatencyP95/SLOLatencyP99 parameterize the slo.ServerObjectives
+	// latency objectives (0 = 500ms / 2s).
 	SLOLatencyP95 time.Duration
 	SLOLatencyP99 time.Duration
 	// ProfileDir, when set, also writes trigger-fired profiles to disk;
@@ -245,16 +239,10 @@ func New(cfg Config) *Server {
 			cfg.DegradeDepth = 1
 		}
 	}
-	if cfg.MinRetryBudget <= 0 {
-		cfg.MinRetryBudget = 20 * time.Millisecond
-	}
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 64
 	}
-	probe := cfg.Probe
-	if probe == nil {
-		probe = &obs.ServiceProbe{}
-	}
+	probe := &obs.ServiceProbe{}
 	flight := cfg.Flight
 	if flight == nil {
 		flight = obs.Flight
@@ -292,14 +280,10 @@ func New(cfg Config) *Server {
 			Slots:      cfg.HistorySlots,
 			OnSnapshot: func() { s.slos.Evaluate() },
 		})
-		objs := cfg.SLOObjectives
-		if objs == nil {
-			objs = slo.ServerObjectives(cfg.SLOLatencyP95, cfg.SLOLatencyP99, !cfg.NoCache)
-		}
+		objs := slo.ServerObjectives(cfg.SLOLatencyP95, cfg.SLOLatencyP99, !cfg.NoCache)
 		s.slos = slo.New(cfg.Metrics, s.hist, flight, "sufsat", objs, slo.Config{
-			FastWindow:    cfg.SLOFastWindow,
-			SlowWindow:    cfg.SLOSlowWindow,
-			BurnThreshold: cfg.SLOBurnThreshold,
+			FastWindow: cfg.SLOFastWindow,
+			SlowWindow: cfg.SLOSlowWindow,
 		})
 		s.profiles = obs.NewProfileStore(obs.ProfileConfig{
 			Dir:         cfg.ProfileDir,
@@ -343,17 +327,6 @@ func New(cfg Config) *Server {
 
 // Probe returns the server's admission-control metrics slot.
 func (s *Server) Probe() *obs.ServiceProbe { return s.probe }
-
-// SLOStatus returns the SLO engine's current objective states (nil when the
-// history layer is disabled). Exposed for the bench harness's time-to-detect
-// measurement; HTTP consumers read the same data from /statusz.
-func (s *Server) SLOStatus() []slo.Status { return s.slos.Status() }
-
-// History returns the metrics-history ring (nil when disabled).
-func (s *Server) History() *history.History { return s.hist }
-
-// Profiles returns the trigger-fired profile store (nil when disabled).
-func (s *Server) Profiles() *obs.ProfileStore { return s.profiles }
 
 // QueueLen reports the current admission-queue depth.
 func (s *Server) QueueLen() int { return len(s.queue) }
@@ -553,7 +526,7 @@ func (s *Server) exec(t *task, depthAtDequeue int, queueWait time.Duration) (res
 	// and a far smaller CNF, so a blown clause/memory/conflict budget on the
 	// eager path often still has a cheap answer within the deadline.
 	if res.Status == sufsat.ResourceOut && ladderOK && degradedReason == "" &&
-		time.Until(t.deadline) > s.cfg.MinRetryBudget {
+		time.Until(t.deadline) > minRetryBudget {
 		retry := opts
 		retry.Method = sufsat.MethodLazy
 		res2 := sufsat.DecideContext(dctx, t.formula, retry)
@@ -802,12 +775,9 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	handlerStart := time.Now()
-	// Correlation ID precedence: X-Request-Id header, then the body's
-	// request_id (checked after decode), then server-minted.
-	reqID := r.Header.Get("X-Request-Id")
-	if !obs.ValidRequestID(reqID) {
-		reqID = ""
-	}
+	// Correlation ID: obs.ResolveRequestID over the header and, once the
+	// body is decoded, its request_id.
+	hdrID, reqID := r.Header.Get("X-Request-Id"), ""
 	// Trace context: a well-formed traceparent header enrolls this request in
 	// the sender's distributed trace (span IDs minted, snapshot stamped); a
 	// missing or malformed header leaves the request untraced.
@@ -817,7 +787,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	// flight event and log record.
 	respond := func(resp *Response) {
 		if reqID == "" {
-			reqID = obs.NewRequestID()
+			reqID = obs.ResolveRequestID(hdrID, "")
 		}
 		resp.RequestID = reqID
 		w.Header().Set("X-Request-Id", reqID)
@@ -845,12 +815,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		respond(malformed(fmt.Sprintf("bad JSON: %v", err)))
 		return
 	}
-	if reqID == "" && obs.ValidRequestID(req.RequestID) {
-		reqID = req.RequestID
-	}
-	if reqID == "" {
-		reqID = obs.NewRequestID()
-	}
+	reqID = obs.ResolveRequestID(hdrID, req.RequestID)
 	resp := s.decide(r.Context(), &req, reqID, traceID, parentSpan)
 	if resp == nil {
 		// The client is gone; there is no one to write to.

@@ -27,7 +27,7 @@ func TestSoak(t *testing.T) {
 		inj := faultinject.New(server.StageExec, faultinject.Panic).EveryNth(17)
 		s := server.New(server.Config{
 			Workers:  4,
-			MaxQueue: 4, // small on purpose: 10 clients must overrun it
+			MaxQueue: 4, // small on purpose: the soak's 10 clients must overrun it
 			Hook:     inj.Stage,
 			// NoCache: the workload replays 16 formulas hundreds of times; with
 			// the verdict cache on, nearly every request would be answered
@@ -43,7 +43,6 @@ func TestSoak(t *testing.T) {
 
 		rep, err := bench.RunSoak(context.Background(), bench.SoakConfig{
 			URL:         "http://" + addr,
-			Clients:     10,
 			Requests:    64,
 			TimeoutMS:   20000,
 			BudgetEvery: 8, // every 8th request carries a 1-clause CNF budget
@@ -113,7 +112,6 @@ func TestSoakCacheMix(t *testing.T) {
 
 		rep, err := bench.RunSoak(context.Background(), bench.SoakConfig{
 			URL:         "http://" + addr,
-			Clients:     10,
 			Requests:    96,
 			TimeoutMS:   20000,
 			CacheMix:    0.4,
