@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test ledger-test race bench-smoke trace-smoke serve-smoke metrics-smoke router-smoke chaos-soak cache-gate fleet-trace-smoke membership-soak slo-smoke
+.PHONY: ci fmt vet build test ledger-test race bench-smoke fuzz-smoke trace-smoke serve-smoke metrics-smoke router-smoke chaos-soak cache-gate fleet-trace-smoke membership-soak slo-smoke
 
 # ci is the full verification gate: gofmt, vet, build, the whole test
 # suite, the perf ledger's module tests (which the root `go test ./...` does
@@ -8,7 +8,9 @@ GO ?= go
 # portfolio racer, the parallel clause-sharing SAT core, the telemetry
 # recorder, metrics registry and flight recorder, the decision service and
 # the fleet router), a one-shot benchmark smoke run that keeps the bench
-# harness compiling and solving, a telemetry smoke run that validates the
+# harness compiling and solving, a fuzz smoke of the formula front end (the
+# parser, the parser against its reference, the fingerprint's
+# invariances), a telemetry smoke run that validates the
 # trace and JSON-stats artifacts against their documented schemas, a
 # process-level smoke of the sufserved daemon lifecycle, a metrics smoke that
 # scrapes /metrics and SIGQUIT-dumps the flight recorder from a live server,
@@ -27,7 +29,7 @@ GO ?= go
 # and the SLO smoke (flood a 1-worker sufserved until the latency objective
 # burns, assert the state transition in /metrics + the flight recorder and
 # exactly one rate-limited profile capture validated by tracecheck -profiles).
-ci: fmt vet build test ledger-test race bench-smoke trace-smoke serve-smoke metrics-smoke router-smoke chaos-soak cache-gate fleet-trace-smoke membership-soak slo-smoke
+ci: fmt vet build test ledger-test race bench-smoke fuzz-smoke trace-smoke serve-smoke metrics-smoke router-smoke chaos-soak cache-gate fleet-trace-smoke membership-soak slo-smoke
 
 # fmt fails when gofmt would reformat a tracked Go file. It lists the files
 # with git so that untracked build outputs (.bench_build/) are never walked,
@@ -62,6 +64,17 @@ race:
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkSolve -benchtime=1x ./internal/sat
+	$(GO) test -run=NONE -bench='BenchmarkParse|BenchmarkFingerprint' -benchtime=1x ./internal/suf
+
+# fuzz-smoke fuzzes the formula front end that every /decide request goes
+# through, 10 s per target: FuzzParse (no panic; accepted input round-trips
+# through the printer), FuzzParseMatchesReference (Parse accepts what the
+# reference parser accepts and builds the same DAG) and FuzzFingerprint
+# (clone, mirror and rename invariance). go test fuzzes one target per run.
+fuzz-smoke:
+	$(GO) test -run=NONE -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/suf
+	$(GO) test -run=NONE -fuzz='^FuzzParseMatchesReference$$' -fuzztime=10s ./internal/suf
+	$(GO) test -run=NONE -fuzz='^FuzzFingerprint$$' -fuzztime=10s ./internal/suf
 
 # trace-smoke drives sufdecide with every telemetry sink on an example and
 # validates the artifacts: the Chrome trace must contain the hybrid pipeline

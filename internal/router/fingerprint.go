@@ -1,8 +1,6 @@
 package router
 
-import (
-	"sufsat"
-)
+import "sufsat/internal/server"
 
 // Fingerprint parses the request formula and returns its canonical
 // alpha-renaming-invariant fingerprint (see sufsat.Formula.Fingerprint) —
@@ -18,24 +16,11 @@ import (
 // -trust-fingerprint can skip recanonicalizing (one canonicalization per
 // request across the fleet).
 //
-// The fingerprint keys the formula the backend actually hands to the solver:
-// an SMT2 request is a satisfiability check, which the server decides as
-// UNSAT-of-negation, so the negated formula is fingerprinted. This keeps the
-// router's key bit-identical to the one a backend would compute itself and
-// guarantees a sat-check can never share a cache entry with a validity check
-// of the same text.
+// The fingerprinted formula is server.DecidedFormula, the one the backend
+// hands to the solver (an SMT2 request is negated), so the ring key equals
+// the key a backend computes for its own cache.
 func Fingerprint(formula string, smt2 bool) (string, error) {
-	b := sufsat.NewBuilder()
-	var f sufsat.Formula
-	var err error
-	if smt2 {
-		f, err = b.ParseSMTLIB(formula)
-		if err == nil {
-			f = f.Not() // the backend decides UNSAT of the negation
-		}
-	} else {
-		f, err = b.Parse(formula)
-	}
+	f, err := server.DecidedFormula(formula, smt2)
 	if err != nil {
 		return "", err
 	}

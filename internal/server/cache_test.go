@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sufsat/internal/bench"
+	"sufsat/internal/router"
 	"sufsat/internal/server"
 	"sufsat/internal/server/client"
 )
@@ -31,7 +32,8 @@ func newCacheTestServer(t *testing.T, cfg server.Config) (*server.Server, *clien
 const cacheTestFormula = "(=> (and (= x y) (= y z)) (= (f x) (f z)))"
 
 // TestCacheHitRepeat: the second identical request is served from the cache,
-// marked Cached, with the same verdict.
+// marked Cached, with the same verdict. The router's ring key is the cache
+// key, for a SUF request and for an SMT2 one.
 func TestCacheHitRepeat(t *testing.T) {
 	_, c := newCacheTestServer(t, server.Config{Workers: 2, MaxQueue: 8})
 	ctx := context.Background()
@@ -55,6 +57,21 @@ func TestCacheHitRepeat(t *testing.T) {
 	}
 	if r2.Fingerprint != r1.Fingerprint {
 		t.Fatalf("fingerprint changed between identical requests")
+	}
+
+	smt := `(declare-const x Int)(declare-const y Int)(assert (< x y))(check-sat)`
+	r3, err := c.Decide(ctx, &server.Request{Formula: smt, SMT2: true})
+	if err != nil {
+		t.Fatalf("smt2 decide: %v", err)
+	}
+	for _, k := range []struct {
+		formula string
+		smt2    bool
+		key     string
+	}{{cacheTestFormula, false, r1.Fingerprint}, {smt, true, r3.Fingerprint}} {
+		if fp, err := router.Fingerprint(k.formula, k.smt2); err != nil || fp != k.key {
+			t.Errorf("router key %q (err %v) for smt2=%v, backend cache key %q", fp, err, k.smt2, k.key)
+		}
 	}
 }
 

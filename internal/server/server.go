@@ -208,6 +208,7 @@ type Server struct {
 
 	httpMu  sync.Mutex
 	httpSrv *http.Server
+	conns   map[net.Conn]http.ConnState // open connections' last states, under httpMu
 }
 
 // New returns a Server with its worker pool running.
@@ -901,6 +902,27 @@ func cacheSnapshot(reqID, traceID, parentSpan string, e *CacheEntry, join bool) 
 	return snap.Finish(rec)
 }
 
+// DecidedFormula parses a request's formula into a fresh builder and returns
+// the formula the server decides: the input itself, or for an SMT2 request
+// its negation, since a script is satisfiable iff the negation of its
+// assertions is not valid. The fingerprint of this formula keys the verdict
+// cache, and the router keys its ring with the same function, so the two
+// keys are equal and a sat-check never shares an entry with a validity check
+// of the same text.
+func DecidedFormula(formula string, smt2 bool) (sufsat.Formula, error) {
+	b := sufsat.NewBuilder()
+	if !smt2 {
+		return b.Parse(formula)
+	}
+	f, err := b.ParseSMTLIB(formula)
+	if err != nil {
+		return sufsat.Formula{}, err
+	}
+	// "invalid" then means satisfiable, and the model satisfies the
+	// assertions.
+	return f.Not(), nil
+}
+
 // decide runs one decoded request end to end: validate and parse, verdict
 // cache (lookup, then single-flight), admission control, worker solve. It is
 // the shared engine of POST /decide and POST /v1/decide/batch. A nil return
@@ -919,21 +941,10 @@ func (s *Server) decide(ctx context.Context, req *Request, reqID, traceID, paren
 	// Parsing runs before admission: malformed bytes must never cost a queue
 	// slot (and must never kill the server — the parsers return errors,
 	// enforced by the FuzzParse corpora).
-	b := sufsat.NewBuilder()
-	var f sufsat.Formula
-	if req.SMT2 {
-		f, err = b.ParseSMTLIB(req.Formula)
-	} else {
-		f, err = b.Parse(req.Formula)
-	}
+	f, err := DecidedFormula(req.Formula, req.SMT2)
 	if err != nil {
 		s.probe.Malformed()
 		return malformed(fmt.Sprintf("parse: %v", err))
-	}
-	if req.SMT2 {
-		// sat(F) ⟺ ¬valid(¬F): decide the negation; "invalid" then means
-		// satisfiable and the model satisfies the assertions.
-		f = f.Not()
 	}
 
 	opts := req.options(method)
@@ -1152,7 +1163,7 @@ func writeJSON(w http.ResponseWriter, resp *Response) {
 
 // Serve runs an http.Server for the handler on ln until Shutdown.
 func (s *Server) Serve(ln net.Listener) error {
-	srv := &http.Server{Handler: s.Handler()}
+	srv := &http.Server{Handler: s.Handler(), ConnState: s.trackConn}
 	s.httpMu.Lock()
 	s.httpSrv = srv
 	s.httpMu.Unlock()
@@ -1161,6 +1172,35 @@ func (s *Server) Serve(ln net.Listener) error {
 		return nil
 	}
 	return err
+}
+
+// trackConn records each open connection's state, so a drain can tell a
+// connection serving a request from one that has not sent any.
+func (s *Server) trackConn(c net.Conn, state http.ConnState) {
+	s.httpMu.Lock()
+	defer s.httpMu.Unlock()
+	switch state {
+	case http.StateClosed, http.StateHijacked:
+		delete(s.conns, c)
+	default:
+		if s.conns == nil {
+			s.conns = make(map[net.Conn]http.ConnState)
+		}
+		s.conns[c] = state
+	}
+}
+
+// activeConns counts the open connections serving a request.
+func (s *Server) activeConns() int {
+	s.httpMu.Lock()
+	defer s.httpMu.Unlock()
+	n := 0
+	for _, state := range s.conns {
+		if state == http.StateActive {
+			n++
+		}
+	}
+	return n
 }
 
 // ListenAndServe binds addr (port 0 picks a free port, reported via the
@@ -1212,8 +1252,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if srv != nil {
 		sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		defer cancel()
-		if serr := srv.Shutdown(sctx); serr != nil && err == nil {
-			err = serr
+		if serr := srv.Shutdown(sctx); serr != nil {
+			// The grace ran out. net/http counts a connection that has not
+			// sent a request yet as active for its first 5 s, so close
+			// whatever is left, and fail the drain only if a request was
+			// still being served.
+			active := s.activeConns()
+			srv.Close() //nolint:errcheck // the listeners are already closed
+			if active > 0 && err == nil {
+				err = fmt.Errorf("server: drain closed %d connection(s) serving a request: %w", active, serr)
+			}
 		}
 	}
 	s.logf("server: drained")

@@ -3,6 +3,8 @@ package server_test
 import (
 	"context"
 	"errors"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -541,6 +543,61 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 	}, 5*time.Second)
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// acceptSignal reports each connection its listener accepts.
+type acceptSignal struct {
+	net.Listener
+	accepted chan struct{}
+}
+
+func (l acceptSignal) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepted <- struct{}{}
+	}
+	return c, err
+}
+
+// TestDrainClosesSilentConnections checks that a drain closes a connection
+// that never sent a request. net/http counts such a connection as active for
+// its first 5 s, so the 2 s shutdown grace alone would leave it open and
+// report the deadline.
+func TestDrainClosesSilentConnections(t *testing.T) {
+	s := server.New(server.Config{Workers: 1})
+	inner, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := acceptSignal{Listener: inner, accepted: make(chan struct{}, 1)}
+	served := make(chan error, 1)
+	go func() { served <- s.Serve(ln) }()
+
+	conn, err := net.Dial("tcp", inner.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	<-ln.accepted
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Errorf("shutdown: %v", err)
+	}
+	if d := time.Since(start); d > 3*time.Second {
+		t.Errorf("shutdown took %v, want the 2 s grace", d)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("serve: %v", err)
+	}
+	if err := conn.SetReadDeadline(time.Now().Add(2 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("read after drain: got %v, want EOF", err)
 	}
 }
 

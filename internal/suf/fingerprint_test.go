@@ -65,6 +65,19 @@ func TestFingerprintCommutativePermutation(t *testing.T) {
 	wantCollide(t, "(and (= x y) (= x z))", "(and (= x y) (= y z))")
 }
 
+func TestFingerprintTiesResolvedByContext(t *testing.T) {
+	// x and y tie in every bottom-up digest, so the Eq's operand order
+	// decides which is numbered first; only their argument positions under
+	// the non-commutative A tell them apart, which one-level parent
+	// contexts do not see.
+	wantCollide(t,
+		"(and (= x y) (A (f x) (f y)))",
+		"(and (A (f x) (f y)) (= y x))")
+	wantCollide(t,
+		"(and (p (g (g x)) (g (g y))) (= x y))",
+		"(and (= y x) (p (g (g x)) (g (g y))))")
+}
+
 func TestFingerprintClone(t *testing.T) {
 	b1 := NewBuilder()
 	f1 := MustParse("(=> (and (= x (succ y)) (p x y)) (= (f x q) (f x q)))", b1)

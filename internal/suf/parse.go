@@ -3,7 +3,7 @@ package suf
 import (
 	"fmt"
 	"strconv"
-	"unicode"
+	"strings"
 )
 
 // Parse reads a single SUF formula in s-expression syntax into b.
@@ -22,20 +22,19 @@ import (
 // A SYMBOL may be written |quoted| (SMT-LIB style) to carry spaces,
 // metacharacters, or names that collide with keywords and numerals; the
 // printer quotes such names automatically, so formulas always round-trip.
+//
+// The parser reads the source in one pass, building each node as its list
+// closes; tokens and symbol names are substrings of src.
 func Parse(src string, b *Builder) (*BoolExpr, error) {
-	toks, err := tokenize(src)
+	p := &parser{src: src, b: b}
+	f, err := p.boolean()
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks, b: b}
-	sx, err := p.sexp()
-	if err != nil {
-		return nil, err
+	if p.skip(); p.pos < len(src) {
+		return nil, fmt.Errorf("suf: trailing input at offset %d", p.pos)
 	}
-	if p.pos != len(p.toks) {
-		return nil, fmt.Errorf("suf: trailing input at token %d: %q", p.pos, p.toks[p.pos])
-	}
-	return p.boolOf(sx)
+	return f, nil
 }
 
 // MaxNumeral caps the magnitude of offset numerals accepted by the parser.
@@ -56,299 +55,317 @@ func MustParse(src string, b *Builder) *BoolExpr {
 	return f
 }
 
-func tokenize(src string) ([]string, error) {
-	var toks []string
-	i := 0
-	for i < len(src) {
-		c := src[i]
-		switch {
-		case c == ';':
-			for i < len(src) && src[i] != '\n' {
-				i++
-			}
-		case unicode.IsSpace(rune(c)):
-			i++
-		case c == '(' || c == ')':
-			toks = append(toks, string(c))
-			i++
-		case c == '|':
-			j := i + 1
-			for j < len(src) && src[j] != '|' {
-				j++
-			}
-			if j >= len(src) {
-				return nil, fmt.Errorf("suf: unterminated |symbol|")
-			}
-			toks = append(toks, src[i:j+1])
-			i = j + 1
-		default:
-			j := i
-			for j < len(src) && src[j] != '(' && src[j] != ')' && src[j] != ';' &&
-				src[j] != '|' && !unicode.IsSpace(rune(src[j])) {
-				j++
-			}
-			toks = append(toks, src[i:j])
-			i = j
-		}
+// isSpace reports whether byte c is white space to the tokenizer:
+// unicode.IsSpace of c read as a rune. Tokens are scanned byte-wise, so the
+// continuation byte 0x85 or 0xA0 of a multibyte rune separates tokens too.
+func isSpace(c byte) bool {
+	switch c {
+	case '\t', '\n', '\v', '\f', '\r', ' ', 0x85, 0xA0:
+		return true
 	}
-	return toks, nil
+	return false
 }
 
-// sexp is either a string atom or a list. isList disambiguates the empty
-// list () from an atom (both would otherwise have a nil list slice).
-type sexpNode struct {
-	atom   string
-	list   []sexpNode
-	isList bool
+// isDelim reports whether byte c ends an unquoted atom.
+func isDelim(c byte) bool {
+	return c == '(' || c == ')' || c == ';' || c == '|' || isSpace(c)
 }
 
 type parser struct {
-	toks []string
+	src  string
 	pos  int
 	b    *Builder
+	args []*IntExpr // operands of the applications being read, innermost last
 }
 
-func (p *parser) sexp() (sexpNode, error) {
-	if p.pos >= len(p.toks) {
-		return sexpNode{}, fmt.Errorf("suf: unexpected end of input")
-	}
-	t := p.toks[p.pos]
-	p.pos++
-	switch t {
-	case "(":
-		var list []sexpNode
-		for {
-			if p.pos >= len(p.toks) {
-				return sexpNode{}, fmt.Errorf("suf: missing ')'")
-			}
-			if p.toks[p.pos] == ")" {
+// skip advances past white space and line comments.
+func (p *parser) skip() {
+	for p.pos < len(p.src) {
+		switch c := p.src[p.pos]; {
+		case c == ';':
+			for p.pos < len(p.src) && p.src[p.pos] != '\n' {
 				p.pos++
-				return sexpNode{list: list, isList: true}, nil
 			}
-			child, err := p.sexp()
-			if err != nil {
-				return sexpNode{}, err
-			}
-			list = append(list, child)
+		case isSpace(c):
+			p.pos++
+		default:
+			return
 		}
-	case ")":
-		return sexpNode{}, fmt.Errorf("suf: unexpected ')'")
-	default:
-		return sexpNode{atom: t}, nil
 	}
 }
 
-func (p *parser) boolOf(sx sexpNode) (*BoolExpr, error) {
-	b := p.b
-	if !sx.isList {
-		switch sx.atom {
-		case "true":
-			return b.True(), nil
-		case "false":
-			return b.False(), nil
-		case "":
-			return nil, fmt.Errorf("suf: empty boolean atom")
-		default:
-			name, err := symName(sx.atom)
-			if err != nil {
-				return nil, err
-			}
-			return b.BoolSym(name), nil
+// token reads the next token: "(" or ")", an atom (a |quoted| atom keeps
+// its bars), or "" at the end of input. Atoms are never empty.
+func (p *parser) token() (string, error) {
+	p.skip()
+	start := p.pos
+	if start == len(p.src) {
+		return "", nil
+	}
+	switch p.src[start] {
+	case '(', ')':
+		p.pos++
+	case '|':
+		end := strings.IndexByte(p.src[start+1:], '|')
+		if end < 0 {
+			return "", fmt.Errorf("suf: unterminated |symbol|")
+		}
+		p.pos = start + end + 2
+	default:
+		for p.pos < len(p.src) && !isDelim(p.src[p.pos]) {
+			p.pos++
 		}
 	}
-	if len(sx.list) == 0 {
-		return nil, fmt.Errorf("suf: empty list in Boolean position")
+	return p.src[start:p.pos], nil
+}
+
+// closed consumes the ')' that ends the current list and reports whether it
+// was next.
+func (p *parser) closed() (bool, error) {
+	p.skip()
+	if p.pos == len(p.src) {
+		return false, fmt.Errorf("suf: missing ')'")
 	}
-	head := sx.list[0]
-	if head.isList {
-		return nil, fmt.Errorf("suf: operator position must be a symbol")
+	if p.src[p.pos] == ')' {
+		p.pos++
+		return true, nil
 	}
-	args := sx.list[1:]
-	switch head.atom {
-	case "not":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("suf: not takes 1 argument, got %d", len(args))
-		}
-		x, err := p.boolOf(args[0])
+	return false, nil
+}
+
+// end consumes the ')' after the n operands of op.
+func (p *parser) end(op string, n int) error {
+	done, err := p.closed()
+	if err == nil && !done {
+		err = fmt.Errorf("suf: %s takes %d argument(s), got more", op, n)
+	}
+	return err
+}
+
+// head reads the operator of a list whose '(' has been consumed.
+func (p *parser) head(position string) (string, error) {
+	tok, err := p.token()
+	switch {
+	case err != nil:
+		return "", err
+	case tok == "":
+		return "", fmt.Errorf("suf: missing ')'")
+	case tok == ")":
+		return "", fmt.Errorf("suf: empty list in %s position", position)
+	case tok == "(":
+		return "", fmt.Errorf("suf: operator position must be a symbol")
+	}
+	return tok, nil
+}
+
+// atom interprets tok, read in an operand position, as a symbol name.
+func atom(tok string) (string, error) {
+	switch tok {
+	case "":
+		return "", fmt.Errorf("suf: unexpected end of input")
+	case ")":
+		return "", fmt.Errorf("suf: unexpected ')'")
+	}
+	return symName(tok)
+}
+
+// app reads the integer operands of an application of symbol atom op up to
+// its ')' and builds it with mk. Operands collect on p.args, which nested
+// applications share; mk copies them only when it makes a new node.
+func app[E any](p *parser, op string, mk func(string, ...*IntExpr) E) (e E, err error) {
+	name, err := symName(op)
+	if err != nil {
+		return e, err
+	}
+	base := len(p.args)
+	for {
+		done, err := p.closed()
 		if err != nil {
-			return nil, err
+			return e, err
 		}
-		return b.Not(x), nil
+		if done {
+			break
+		}
+		t, err := p.integer()
+		if err != nil {
+			return e, err
+		}
+		p.args = append(p.args, t)
+	}
+	e = mk(name, p.args[base:]...)
+	p.args = p.args[:base]
+	return e, nil
+}
+
+// operands reads the n (at most three) operands of op with read, and the
+// ')' after them.
+func operands[E any](p *parser, op string, n int, read func() (E, error)) (xs [3]E, err error) {
+	for i := range n {
+		if xs[i], err = read(); err != nil {
+			return xs, err
+		}
+	}
+	return xs, p.end(op, n)
+}
+
+func (p *parser) boolean() (*BoolExpr, error) {
+	tok, err := p.token()
+	if err != nil {
+		return nil, err
+	}
+	switch tok {
+	case "(":
+		return p.boolList()
+	case "true":
+		return p.b.True(), nil
+	case "false":
+		return p.b.False(), nil
+	}
+	name, err := atom(tok)
+	if err != nil {
+		return nil, err
+	}
+	return p.b.BoolSym(name), nil
+}
+
+func (p *parser) boolList() (*BoolExpr, error) {
+	b := p.b
+	op, err := p.head("Boolean")
+	if err != nil {
+		return nil, err
+	}
+	switch op {
 	case "and", "or":
-		out := b.True()
-		if head.atom == "or" {
-			out = b.False()
-		}
-		for _, a := range args {
-			x, err := p.boolOf(a)
+		out := b.Const(op == "and")
+		for {
+			done, err := p.closed()
 			if err != nil {
 				return nil, err
 			}
-			if head.atom == "and" {
+			if done {
+				return out, nil
+			}
+			x, err := p.boolean()
+			if err != nil {
+				return nil, err
+			}
+			if op == "and" {
 				out = b.And(out, x)
 			} else {
 				out = b.Or(out, x)
 			}
 		}
-		return out, nil
+	case "not":
+		xs, err := operands(p, op, 1, p.boolean)
+		if err != nil {
+			return nil, err
+		}
+		return b.Not(xs[0]), nil
 	case "=>", "iff":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("suf: %s takes 2 arguments, got %d", head.atom, len(args))
-		}
-		x, err := p.boolOf(args[0])
+		xs, err := operands(p, op, 2, p.boolean)
 		if err != nil {
 			return nil, err
 		}
-		y, err := p.boolOf(args[1])
-		if err != nil {
-			return nil, err
+		if op == "=>" {
+			return b.Implies(xs[0], xs[1]), nil
 		}
-		if head.atom == "=>" {
-			return b.Implies(x, y), nil
-		}
-		return b.Iff(x, y), nil
+		return b.Iff(xs[0], xs[1]), nil
 	case "ite":
-		if len(args) != 3 {
-			return nil, fmt.Errorf("suf: ite takes 3 arguments, got %d", len(args))
-		}
-		c, err := p.boolOf(args[0])
+		xs, err := operands(p, op, 3, p.boolean)
 		if err != nil {
 			return nil, err
 		}
-		x, err := p.boolOf(args[1])
-		if err != nil {
-			return nil, err
-		}
-		y, err := p.boolOf(args[2])
-		if err != nil {
-			return nil, err
-		}
+		c, x, y := xs[0], xs[1], xs[2]
 		return b.Or(b.And(c, x), b.And(b.Not(c), y)), nil
 	case "=", "<", "<=", ">", ">=":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("suf: %s takes 2 arguments, got %d", head.atom, len(args))
-		}
-		t1, err := p.intOf(args[0])
+		ts, err := operands(p, op, 2, p.integer)
 		if err != nil {
 			return nil, err
 		}
-		t2, err := p.intOf(args[1])
-		if err != nil {
-			return nil, err
-		}
-		switch head.atom {
+		switch op {
 		case "=":
-			return b.Eq(t1, t2), nil
+			return b.Eq(ts[0], ts[1]), nil
 		case "<":
-			return b.Lt(t1, t2), nil
+			return b.Lt(ts[0], ts[1]), nil
 		case "<=":
-			return b.Le(t1, t2), nil
+			return b.Le(ts[0], ts[1]), nil
 		case ">":
-			return b.Gt(t1, t2), nil
-		default:
-			return b.Ge(t1, t2), nil
+			return b.Gt(ts[0], ts[1]), nil
 		}
-	default:
-		name, err := symName(head.atom)
-		if err != nil {
-			return nil, err
-		}
-		ias := make([]*IntExpr, len(args))
-		for i, a := range args {
-			t, err := p.intOf(a)
-			if err != nil {
-				return nil, err
-			}
-			ias[i] = t
-		}
-		return b.PredApp(name, ias...), nil
+		return b.Ge(ts[0], ts[1]), nil
 	}
+	return app(p, op, b.PredApp)
 }
 
-func (p *parser) intOf(sx sexpNode) (*IntExpr, error) {
+func (p *parser) integer() (*IntExpr, error) {
+	tok, err := p.token()
+	if err != nil {
+		return nil, err
+	}
+	if tok == "(" {
+		return p.intList()
+	}
+	name, err := atom(tok)
+	if err != nil {
+		return nil, err
+	}
+	return p.b.Sym(name), nil
+}
+
+func (p *parser) intList() (*IntExpr, error) {
 	b := p.b
-	if !sx.isList {
-		if sx.atom == "" {
-			return nil, fmt.Errorf("suf: empty integer atom")
-		}
-		name, err := symName(sx.atom)
-		if err != nil {
-			return nil, err
-		}
-		return b.Sym(name), nil
+	op, err := p.head("integer")
+	if err != nil {
+		return nil, err
 	}
-	if len(sx.list) == 0 {
-		return nil, fmt.Errorf("suf: empty list in integer position")
-	}
-	head := sx.list[0]
-	if head.isList {
-		return nil, fmt.Errorf("suf: operator position must be a symbol")
-	}
-	args := sx.list[1:]
-	switch head.atom {
+	switch op {
 	case "succ", "pred":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("suf: %s takes 1 argument, got %d", head.atom, len(args))
-		}
-		t, err := p.intOf(args[0])
+		ts, err := operands(p, op, 1, p.integer)
 		if err != nil {
 			return nil, err
 		}
-		if head.atom == "succ" {
-			return b.Succ(t), nil
+		if op == "succ" {
+			return b.Succ(ts[0]), nil
 		}
-		return b.Pred(t), nil
+		return b.Pred(ts[0]), nil
 	case "+", "-":
-		if len(args) != 2 || args[1].isList {
-			return nil, fmt.Errorf("suf: %s takes (term numeral)", head.atom)
-		}
-		k, err := strconv.Atoi(args[1].atom)
+		t, err := p.integer()
 		if err != nil {
-			return nil, fmt.Errorf("suf: bad numeral %q: %v", args[1].atom, err)
+			return nil, err
+		}
+		num, err := p.token()
+		if err != nil {
+			return nil, err
+		}
+		if num == "" || num == "(" || num == ")" {
+			return nil, fmt.Errorf("suf: %s takes (term numeral)", op)
+		}
+		k, err := strconv.Atoi(num)
+		if err != nil {
+			return nil, fmt.Errorf("suf: bad numeral %q: %v", num, err)
 		}
 		if k > MaxNumeral || k < -MaxNumeral {
 			return nil, fmt.Errorf("suf: numeral %d exceeds the supported offset magnitude %d", k, MaxNumeral)
 		}
-		t, err := p.intOf(args[0])
-		if err != nil {
+		if err := p.end(op, 2); err != nil {
 			return nil, err
 		}
-		if head.atom == "-" {
+		if op == "-" {
 			k = -k
 		}
 		return b.Offset(t, k), nil
 	case "ite":
-		if len(args) != 3 {
-			return nil, fmt.Errorf("suf: ite takes 3 arguments, got %d", len(args))
-		}
-		c, err := p.boolOf(args[0])
+		c, err := p.boolean()
 		if err != nil {
 			return nil, err
 		}
-		t1, err := p.intOf(args[1])
+		ts, err := operands(p, op, 2, p.integer)
 		if err != nil {
 			return nil, err
 		}
-		t2, err := p.intOf(args[2])
-		if err != nil {
-			return nil, err
-		}
-		return b.Ite(c, t1, t2), nil
-	default:
-		name, err := symName(head.atom)
-		if err != nil {
-			return nil, err
-		}
-		ias := make([]*IntExpr, len(args))
-		for i, a := range args {
-			t, err := p.intOf(a)
-			if err != nil {
-				return nil, err
-			}
-			ias[i] = t
-		}
-		return b.Fn(name, ias...), nil
+		return b.Ite(c, ts[0], ts[1]), nil
 	}
+	return app(p, op, b.Fn)
 }
 
 var reserved = map[string]bool{
@@ -385,8 +402,36 @@ func validSymbol(s string) error {
 	if reserved[s] {
 		return fmt.Errorf("suf: keyword %q used as a symbol", s)
 	}
-	if _, err := strconv.Atoi(s); err == nil {
+	if isNumeral(s) {
 		return fmt.Errorf("suf: numeral %q used as a symbol: SUF has no integer literals", s)
 	}
 	return nil
+}
+
+// isNumeral reports whether strconv.Atoi accepts s — an optional sign, then
+// decimal digits whose value fits an int — without allocating the error Atoi
+// returns for every other string. An out-of-range digit string is therefore
+// not a numeral.
+func isNumeral(s string) bool {
+	neg := false
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		neg = s[0] == '-'
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	limit := uint64(1)<<(strconv.IntSize-1) - 1
+	if neg {
+		limit++
+	}
+	var v uint64
+	for i := 0; i < len(s); i++ {
+		d := uint64(s[i] - '0')
+		if d > 9 || v > (limit-d)/10 {
+			return false
+		}
+		v = v*10 + d
+	}
+	return true
 }

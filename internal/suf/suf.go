@@ -10,10 +10,8 @@
 package suf
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
-	"unicode"
 )
 
 // IntKind enumerates integer expression kinds.
@@ -102,39 +100,56 @@ func (e *BoolExpr) Terms() (t1, t2 *IntExpr) { return e.t1, e.t2 }
 // Builder hash-conses SUF expressions.
 type Builder struct {
 	t, f   *BoolExpr
-	ints   map[string]*IntExpr
-	bools  map[string]*BoolExpr
+	ints   map[consKey]*IntExpr
+	bools  map[consKey]*BoolExpr
 	nextID int32
+}
+
+// consKey identifies a node for hash-consing without building a string: the
+// constructor's tag, the IDs of up to three operands, and for an application
+// its arity and symbol name. An application of more than three arguments
+// spells the name and every argument ID into name instead (see wideKey), so
+// keys stay collision-free at any arity.
+type consKey struct {
+	tag   byte
+	arity int32
+	kids  [3]int32
+	name  string
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
 	b := &Builder{
-		ints:  make(map[string]*IntExpr),
-		bools: make(map[string]*BoolExpr),
+		ints:  make(map[consKey]*IntExpr),
+		bools: make(map[consKey]*BoolExpr),
 	}
-	b.t = b.consBool("T", &BoolExpr{kind: BTrue})
-	b.f = b.consBool("F", &BoolExpr{kind: BFalse})
+	b.t = b.consBool(consKey{tag: 'T'}, func() *BoolExpr { return &BoolExpr{kind: BTrue} })
+	b.f = b.consBool(consKey{tag: 'F'}, func() *BoolExpr { return &BoolExpr{kind: BFalse} })
 	return b
 }
 
-func (b *Builder) consInt(key string, e *IntExpr) *IntExpr {
-	if n, ok := b.ints[key]; ok {
+// consInt returns the node keyed k, calling mk to allocate it (and handing
+// out the next ID) only when the builder has none yet.
+func (b *Builder) consInt(k consKey, mk func() *IntExpr) *IntExpr {
+	if n, ok := b.ints[k]; ok {
 		return n
 	}
+	e := mk()
 	e.id = b.nextID
 	b.nextID++
-	b.ints[key] = e
+	b.ints[k] = e
 	return e
 }
 
-func (b *Builder) consBool(key string, e *BoolExpr) *BoolExpr {
-	if n, ok := b.bools[key]; ok {
+// consBool is consInt for Boolean nodes.
+func (b *Builder) consBool(k consKey, mk func() *BoolExpr) *BoolExpr {
+	if n, ok := b.bools[k]; ok {
 		return n
 	}
+	e := mk()
 	e.id = b.nextID
 	b.nextID++
-	b.bools[key] = e
+	b.bools[k] = e
 	return e
 }
 
@@ -146,17 +161,37 @@ func (b *Builder) Sym(name string) *IntExpr { return b.Fn(name) }
 
 // Fn returns the application of function symbol name to args.
 func (b *Builder) Fn(name string, args ...*IntExpr) *IntExpr {
-	cp := make([]*IntExpr, len(args))
-	copy(cp, args)
-	return b.consInt(appKey("f", name, args), &IntExpr{kind: IFunc, fn: name, args: cp})
+	return b.consInt(appKey('f', name, args), func() *IntExpr {
+		return &IntExpr{kind: IFunc, fn: name, args: cloneArgs(args)}
+	})
 }
 
-// appKey builds a collision-free hash-consing key for an application: the
-// name is length-prefixed so adversarial symbol names (containing ':' or
-// digits) cannot alias a different (name, argument) split.
-func appKey(tag, name string, args []*IntExpr) string {
+// cloneArgs copies an argument list, so a caller may reuse its slice.
+func cloneArgs(args []*IntExpr) []*IntExpr {
+	cp := make([]*IntExpr, len(args))
+	copy(cp, args)
+	return cp
+}
+
+// appKey returns the hash-consing key of an application.
+func appKey(tag byte, name string, args []*IntExpr) consKey {
+	k := consKey{tag: tag, arity: int32(len(args)), name: name}
+	if len(args) > len(k.kids) {
+		k.name = wideKey(name, args)
+		return k
+	}
+	for i, a := range args {
+		k.kids[i] = a.id
+	}
+	return k
+}
+
+// wideKey spells a wide application's name and argument IDs into one
+// string. The name is length-prefixed so adversarial symbol names
+// (containing ':' or digits) cannot alias a different (name, argument)
+// split.
+func wideKey(name string, args []*IntExpr) string {
 	var sb strings.Builder
-	sb.WriteString(tag)
 	sb.WriteString(strconv.Itoa(len(name)))
 	sb.WriteByte('!')
 	sb.WriteString(name)
@@ -173,7 +208,9 @@ func (b *Builder) Succ(t *IntExpr) *IntExpr {
 	if t.kind == IPred {
 		return t.a
 	}
-	return b.consInt("s:"+strconv.Itoa(int(t.id)), &IntExpr{kind: ISucc, a: t})
+	return b.consInt(consKey{tag: 's', kids: [3]int32{t.id}}, func() *IntExpr {
+		return &IntExpr{kind: ISucc, a: t}
+	})
 }
 
 // Pred returns t−1.
@@ -182,7 +219,9 @@ func (b *Builder) Pred(t *IntExpr) *IntExpr {
 	if t.kind == ISucc {
 		return t.a
 	}
-	return b.consInt("p:"+strconv.Itoa(int(t.id)), &IntExpr{kind: IPred, a: t})
+	return b.consInt(consKey{tag: 'p', kids: [3]int32{t.id}}, func() *IntExpr {
+		return &IntExpr{kind: IPred, a: t}
+	})
 }
 
 // Offset returns t+k (k may be negative), as a succ/pred chain.
@@ -207,8 +246,9 @@ func (b *Builder) Ite(c *BoolExpr, t, e *IntExpr) *IntExpr {
 	if t == e {
 		return t
 	}
-	key := "i:" + strconv.Itoa(int(c.id)) + ":" + strconv.Itoa(int(t.id)) + ":" + strconv.Itoa(int(e.id))
-	return b.consInt(key, &IntExpr{kind: IIte, cond: c, a: t, b: e})
+	return b.consInt(consKey{tag: 'i', kids: [3]int32{c.id, t.id, e.id}}, func() *IntExpr {
+		return &IntExpr{kind: IIte, cond: c, a: t, b: e}
+	})
 }
 
 // True returns the Boolean constant true.
@@ -235,7 +275,9 @@ func (b *Builder) Not(x *BoolExpr) *BoolExpr {
 	case BNot:
 		return x.l
 	}
-	return b.consBool("n:"+strconv.Itoa(int(x.id)), &BoolExpr{kind: BNot, l: x})
+	return b.consBool(consKey{tag: 'n', kids: [3]int32{x.id}}, func() *BoolExpr {
+		return &BoolExpr{kind: BNot, l: x}
+	})
 }
 
 // And returns x ∧ y.
@@ -253,8 +295,9 @@ func (b *Builder) And(x, y *BoolExpr) *BoolExpr {
 	if x.id > y.id {
 		x, y = y, x
 	}
-	key := "a:" + strconv.Itoa(int(x.id)) + ":" + strconv.Itoa(int(y.id))
-	return b.consBool(key, &BoolExpr{kind: BAnd, l: x, r: y})
+	return b.consBool(consKey{tag: 'a', kids: [3]int32{x.id, y.id}}, func() *BoolExpr {
+		return &BoolExpr{kind: BAnd, l: x, r: y}
+	})
 }
 
 // Or returns x ∨ y.
@@ -272,8 +315,9 @@ func (b *Builder) Or(x, y *BoolExpr) *BoolExpr {
 	if x.id > y.id {
 		x, y = y, x
 	}
-	key := "o:" + strconv.Itoa(int(x.id)) + ":" + strconv.Itoa(int(y.id))
-	return b.consBool(key, &BoolExpr{kind: BOr, l: x, r: y})
+	return b.consBool(consKey{tag: 'o', kids: [3]int32{x.id, y.id}}, func() *BoolExpr {
+		return &BoolExpr{kind: BOr, l: x, r: y}
+	})
 }
 
 // AndN folds And over xs (true for the empty list).
@@ -307,8 +351,9 @@ func (b *Builder) Eq(t1, t2 *IntExpr) *BoolExpr {
 	if t1 == t2 {
 		return b.t
 	}
-	key := "e:" + strconv.Itoa(int(t1.id)) + ":" + strconv.Itoa(int(t2.id))
-	return b.consBool(key, &BoolExpr{kind: BEq, t1: t1, t2: t2})
+	return b.consBool(consKey{tag: 'e', kids: [3]int32{t1.id, t2.id}}, func() *BoolExpr {
+		return &BoolExpr{kind: BEq, t1: t1, t2: t2}
+	})
 }
 
 // Lt returns t1 < t2.
@@ -316,8 +361,9 @@ func (b *Builder) Lt(t1, t2 *IntExpr) *BoolExpr {
 	if t1 == t2 {
 		return b.f
 	}
-	key := "l:" + strconv.Itoa(int(t1.id)) + ":" + strconv.Itoa(int(t2.id))
-	return b.consBool(key, &BoolExpr{kind: BLt, t1: t1, t2: t2})
+	return b.consBool(consKey{tag: 'l', kids: [3]int32{t1.id, t2.id}}, func() *BoolExpr {
+		return &BoolExpr{kind: BLt, t1: t1, t2: t2}
+	})
 }
 
 // Le returns t1 ≤ t2, i.e. ¬(t2 < t1).
@@ -331,9 +377,9 @@ func (b *Builder) Ge(t1, t2 *IntExpr) *BoolExpr { return b.Le(t2, t1) }
 
 // PredApp returns the application of predicate symbol name to args.
 func (b *Builder) PredApp(name string, args ...*IntExpr) *BoolExpr {
-	cp := make([]*IntExpr, len(args))
-	copy(cp, args)
-	return b.consBool(appKey("P", name, args), &BoolExpr{kind: BPred, pn: name, args: cp})
+	return b.consBool(appKey('P', name, args), func() *BoolExpr {
+		return &BoolExpr{kind: BPred, pn: name, args: cloneArgs(args)}
+	})
 }
 
 // BoolSym returns the symbolic Boolean constant (zero-arity predicate) name.
@@ -472,63 +518,91 @@ func QuoteSym(s string) string {
 	// Byte-wise to mirror the tokenizer exactly (it scans bytes, so a
 	// space-like continuation byte inside a multibyte rune still splits).
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c == '(' || c == ')' || c == '|' || c == ';' || unicode.IsSpace(rune(c)) {
+		if isDelim(s[i]) {
 			return "|" + s + "|"
 		}
 	}
-	if _, err := strconv.Atoi(s); err == nil {
+	if isNumeral(s) {
 		return "|" + s + "|"
 	}
 	return s
 }
 
+// String prints e in the syntax Parse reads. It writes one buffer, so its
+// cost is linear in the printed length even for deep succ/pred chains.
 func (e *IntExpr) String() string {
-	switch e.kind {
-	case IFunc:
-		if len(e.args) == 0 {
-			return QuoteSym(e.fn)
-		}
-		parts := make([]string, len(e.args))
-		for i, a := range e.args {
-			parts[i] = a.String()
-		}
-		return fmt.Sprintf("(%s %s)", QuoteSym(e.fn), strings.Join(parts, " "))
-	case ISucc:
-		return fmt.Sprintf("(succ %s)", e.a)
-	case IPred:
-		return fmt.Sprintf("(pred %s)", e.a)
-	case IIte:
-		return fmt.Sprintf("(ite %s %s %s)", e.cond, e.a, e.b)
-	}
-	return "?"
+	var sb strings.Builder
+	e.print(&sb)
+	return sb.String()
 }
 
+// String prints e in the syntax Parse reads.
 func (e *BoolExpr) String() string {
+	var sb strings.Builder
+	e.print(&sb)
+	return sb.String()
+}
+
+// printList writes "(op x y …)".
+func printList(sb *strings.Builder, op string, xs ...interface{ print(*strings.Builder) }) {
+	sb.WriteByte('(')
+	sb.WriteString(op)
+	for _, x := range xs {
+		sb.WriteByte(' ')
+		x.print(sb)
+	}
+	sb.WriteByte(')')
+}
+
+// printApp writes an application; a nullary one is its bare symbol.
+func printApp(sb *strings.Builder, name string, args []*IntExpr) {
+	if len(args) == 0 {
+		sb.WriteString(QuoteSym(name))
+		return
+	}
+	sb.WriteByte('(')
+	sb.WriteString(QuoteSym(name))
+	for _, a := range args {
+		sb.WriteByte(' ')
+		a.print(sb)
+	}
+	sb.WriteByte(')')
+}
+
+func (e *IntExpr) print(sb *strings.Builder) {
+	switch e.kind {
+	case IFunc:
+		printApp(sb, e.fn, e.args)
+	case ISucc:
+		printList(sb, "succ", e.a)
+	case IPred:
+		printList(sb, "pred", e.a)
+	case IIte:
+		printList(sb, "ite", e.cond, e.a, e.b)
+	default:
+		sb.WriteByte('?')
+	}
+}
+
+func (e *BoolExpr) print(sb *strings.Builder) {
 	switch e.kind {
 	case BTrue:
-		return "true"
+		sb.WriteString("true")
 	case BFalse:
-		return "false"
+		sb.WriteString("false")
 	case BNot:
-		return fmt.Sprintf("(not %s)", e.l)
+		printList(sb, "not", e.l)
 	case BAnd:
-		return fmt.Sprintf("(and %s %s)", e.l, e.r)
+		printList(sb, "and", e.l, e.r)
 	case BOr:
-		return fmt.Sprintf("(or %s %s)", e.l, e.r)
+		printList(sb, "or", e.l, e.r)
 	case BEq:
-		return fmt.Sprintf("(= %s %s)", e.t1, e.t2)
+		printList(sb, "=", e.t1, e.t2)
 	case BLt:
-		return fmt.Sprintf("(< %s %s)", e.t1, e.t2)
+		printList(sb, "<", e.t1, e.t2)
 	case BPred:
-		if len(e.args) == 0 {
-			return QuoteSym(e.pn)
-		}
-		parts := make([]string, len(e.args))
-		for i, a := range e.args {
-			parts[i] = a.String()
-		}
-		return fmt.Sprintf("(%s %s)", QuoteSym(e.pn), strings.Join(parts, " "))
+		printApp(sb, e.pn, e.args)
+	default:
+		sb.WriteByte('?')
 	}
-	return "?"
 }

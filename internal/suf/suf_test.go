@@ -2,6 +2,7 @@ package suf
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -327,5 +328,33 @@ func TestAdversarialNamesDoNotCollide(t *testing.T) {
 	}
 	if b.Fn("a:1") == b.Fn("a", b.Sym("1")) {
 		t.Fatal("name/argument split ambiguity")
+	}
+}
+
+func TestIsNumeralMatchesAtoi(t *testing.T) {
+	for _, s := range []string{
+		"", "+", "-", "0", "+0", "-0", "007", "42", "-42", "+42", "4x", "x4",
+		"1_000", "0x10", " 1", "1 ", "٣", "--1", "+-1",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808",
+		"-9223372036854775809", "000000000000000000000000009223372036854775807",
+		"99999999999999999999999999",
+	} {
+		_, err := strconv.Atoi(s)
+		if got := isNumeral(s); got != (err == nil) {
+			t.Errorf("isNumeral(%q) = %v, strconv.Atoi error %v", s, got, err)
+		}
+	}
+	if QuoteSym("99999999999999999999") != "99999999999999999999" {
+		t.Error("an out-of-range digit string is a plain symbol")
+	}
+}
+
+func TestStringIsLinear(t *testing.T) {
+	// Printing writes one growing buffer: a deep succ chain costs a few
+	// buffer growths, not a string per level (quadratic in the depth).
+	b := NewBuilder()
+	f := b.Eq(b.Sym("x"), b.Offset(b.Sym("y"), MaxNumeral))
+	if n := testing.AllocsPerRun(1, func() { _ = f.String() }); n > 64 {
+		t.Errorf("String of a %d-deep succ chain made %.0f allocations", MaxNumeral, n)
 	}
 }
