@@ -65,6 +65,7 @@ race:
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkSolve -benchtime=1x ./internal/sat
 	$(GO) test -run=NONE -bench='BenchmarkParse|BenchmarkFingerprint' -benchtime=1x ./internal/suf
+	$(GO) test -run=NONE -bench=BenchmarkDecideInvariant -benchtime=1x ./internal/core
 
 # fuzz-smoke fuzzes the formula front end that every /decide request goes
 # through, 10 s per target: FuzzParse (no panic; accepted input round-trips
@@ -88,7 +89,7 @@ trace-smoke:
 	$(GO) run ./cmd/tracecheck \
 		-trace /tmp/sufsat-trace-smoke.json \
 		-stats /tmp/sufsat-stats-smoke.json \
-		-want-spans funcelim,analyze,encode,trans,cnf,sat
+		-want-spans funcelim,analyze,encode,cnf,trans,sat
 
 # serve-smoke builds cmd/sufserved and exercises the daemon end to end:
 # ephemeral port, valid/invalid/malformed requests through the retrying

@@ -268,16 +268,7 @@ func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Option
 		res.Telemetry = res.snapshot(rec, opts.Method)
 		return res
 	}
-	// checkpoint runs the stage hook, then polls the context, so a hook that
-	// cancels the context aborts the run right here.
-	checkpoint := func(stage string) error {
-		if opts.Hook != nil {
-			if err := opts.Hook(stage); err != nil {
-				return err
-			}
-		}
-		return ctx.Err()
-	}
+	checkpoint := func(stage string) error { return enterStage(ctx, opts.Hook, stage) }
 
 	// 1. Function and predicate elimination.
 	if err := checkpoint(StageFuncElim); err != nil {
@@ -310,94 +301,19 @@ func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Option
 		AttrInt("sep_thold", threshold)
 	anSpan.End()
 
-	// 3. Boolean encoding, with graceful degradation: a class whose EIJ
-	// transitivity generation exhausts the budget is re-routed to SD and the
-	// encoding retried (Hybrid only; each class is demoted at most once, so
-	// the loop terminates).
-	var (
-		bb      *boolexpr.Builder
-		bvar    *boolexpr.Node
-		sdEnc   *smalldomain.Encoder
-		eijEnc  *perconstraint.Encoder
-		trans   *perconstraint.TransSet
-		demoted map[*sep.Class]bool
-	)
-	for {
-		if err := checkpoint(StageEncode); err != nil {
-			return fail(err, true)
-		}
-		encSpan := rec.StartSpan(StageEncode)
-		bb = boolexpr.NewBuilder()
-		res.Stats.SDClasses = 0
-		res.Stats.SDStats = smalldomain.Stats{}
-		var timing *encTiming
-		if rec != nil {
-			timing = new(encTiming)
-		}
-		bvar, sdEnc, eijEnc, err = encode(ctx, info, b, bb, opts, threshold, deadline, demoted, &res.Stats, timing)
-		if err != nil {
-			return fail(err, true)
-		}
-		encSpan.AttrInt("sd_classes", res.Stats.SDClasses).
-			AttrInt("eij_classes", res.Stats.Classes-res.Stats.SDClasses).
-			AttrInt("demoted_classes", res.Stats.DemotedClasses).
-			AttrInt("bool_nodes", bb.NumNodes())
-		if timing != nil {
-			encSpan.AttrFloat("sd_ms", float64(timing.sdNS)/1e6).
-				AttrFloat("eij_ms", float64(timing.eijNS)/1e6)
-		}
-		encSpan.End()
-		if err := checkpoint(StageTrans); err != nil {
-			return fail(err, true)
-		}
-		transSpan := rec.StartSpan(StageTrans)
-		trans, err = eijEnc.TransSet()
-		if err == nil {
-			transSpan.AttrInt("trans_clauses", trans.Len()).
-				AttrInt("trans_constraints", eijEnc.Stats().TransConstraints)
-			transSpan.End()
-			break
-		}
-		transSpan.AttrBool("budget_exhausted", true).End()
-		var be *perconstraint.BudgetError
-		if opts.Method == Hybrid && !opts.NoDegrade &&
-			errors.As(err, &be) && be.Class != nil && !demoted[be.Class] {
-			if demoted == nil {
-				demoted = make(map[*sep.Class]bool)
-			}
-			demoted[be.Class] = true
-			res.Stats.DemotedClasses++
-			continue
-		}
+	// 3. Boolean encoding and assertion of the SAT query, with graceful
+	// degradation of budget-blowing EIJ classes to SD (buildQuery).
+	q, err := buildQuery(ctx, info, b, opts, threshold, deadline, &res.Stats, opts.Hook, rec)
+	if err != nil {
 		return fail(err, true)
 	}
-	res.Stats.BoolNodes = bb.NumNodes()
-	res.Stats.EIJStats = eijEnc.Stats()
-
-	cnfSpan := rec.StartSpan("cnf")
-	solver := sat.New()
+	solver := q.solver
 	solver.Deadline = deadline
 	solver.Interrupt = opts.Interrupt
 	solver.Ctx = ctx
 	solver.ConflictBudget = opts.MaxConflicts
 	solver.Probes = rec.Probes()
-	cnf := AssertQuery(solver, bb, bvar, trans)
 	res.Stats.EncodeTime = time.Since(start)
-	res.Stats.CNFClauses = solver.Stats().Clauses
-	cnfSpan.AttrInt("vars", solver.Stats().Vars).AttrInt("cnf_clauses", solver.Stats().Clauses)
-	cnfSpan.End()
-
-	// Post-encoding resource budgets.
-	if opts.MaxCNFClauses > 0 && solver.Stats().Clauses > opts.MaxCNFClauses {
-		return fail(fmt.Errorf("%w: %d clauses > limit %d",
-			ErrClauseBudget, solver.Stats().Clauses, opts.MaxCNFClauses), false)
-	}
-	if opts.MaxMemoryEstimate > 0 {
-		if est := estimateMemory(res.Stats.BoolNodes, solver.Stats()); est > opts.MaxMemoryEstimate {
-			return fail(fmt.Errorf("%w: ~%d bytes > limit %d",
-				ErrMemoryBudget, est, opts.MaxMemoryEstimate), false)
-		}
-	}
 
 	if opts.DumpCNF != nil {
 		if err := checkpoint(StageDump); err != nil {
@@ -432,7 +348,7 @@ func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Option
 		res.Status = Valid
 	case sat.Sat:
 		res.Status = Invalid
-		res.Model = extractModel(solver, cnf, info, sdEnc, eijEnc, elim)
+		res.Model = extractModel(solver, q.cnf, info, q.sdEnc, q.eijEnc, elim)
 	default:
 		res.Err = SATStopError(solver.StopReason())
 		res.Status = StatusOf(res.Err)
@@ -448,27 +364,131 @@ func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Option
 	return res
 }
 
+// enterStage runs the stage hook (if any), then polls the context, so a
+// hook that cancels the context aborts the run right at the stage's entry.
+func enterStage(ctx context.Context, hook StageHook, stage string) error {
+	if hook != nil {
+		if err := hook(stage); err != nil {
+			return err
+		}
+	}
+	return ctx.Err()
+}
+
+// query is a validity check's SAT query asserted into its own solver, with
+// the encoders that built it, which model extraction reads back.
+type query struct {
+	solver *sat.Solver
+	cnf    boolexpr.CNF
+	sdEnc  *smalldomain.Encoder
+	eijEnc *perconstraint.Encoder
+}
+
+// buildQuery is the encode → assert ladder DecideCtx and OpenSession share.
+// Each attempt encodes F_bvar into a fresh Boolean builder and asserts
+// F_trans ∧ ¬F_bvar into a fresh solver with AssertQuery. Under Hybrid, a
+// class whose transitivity generation exhausts the budget is demoted to SD
+// and the ladder starts again from a fresh builder and solver, so the
+// clauses the demoted class already streamed leave with the old solver.
+// Each class is demoted at most once, so the loop terminates. The
+// post-encoding budgets are checked last. Only DecideCtx passes a stage hook
+// and a recorder (spans and encoder timing); both may be nil.
+func buildQuery(ctx context.Context, info *sep.Info, b *suf.Builder, opts Options, threshold int,
+	deadline time.Time, st *Stats, hook StageHook, rec *obs.Recorder) (query, error) {
+	var demoted map[*sep.Class]bool
+	for {
+		if err := enterStage(ctx, hook, StageEncode); err != nil {
+			return query{}, err
+		}
+		encSpan := rec.StartSpan(StageEncode)
+		bb := boolexpr.NewBuilder()
+		st.SDClasses = 0
+		st.SDStats = smalldomain.Stats{}
+		var timing *encTiming
+		if rec != nil {
+			timing = new(encTiming)
+		}
+		bvar, sdEnc, eijEnc, err := encode(ctx, info, b, bb, opts, threshold, deadline, demoted, st, timing)
+		if err != nil {
+			return query{}, err
+		}
+		encSpan.AttrInt("sd_classes", st.SDClasses).
+			AttrInt("eij_classes", st.Classes-st.SDClasses).
+			AttrInt("demoted_classes", st.DemotedClasses).
+			AttrInt("bool_nodes", bb.NumNodes())
+		if timing != nil {
+			encSpan.AttrFloat("sd_ms", float64(timing.sdNS)/1e6).
+				AttrFloat("eij_ms", float64(timing.eijNS)/1e6)
+		}
+		encSpan.End()
+
+		if err := enterStage(ctx, hook, StageTrans); err != nil {
+			return query{}, err
+		}
+		solver := sat.New()
+		cnf, err := AssertQuery(solver, bvar, eijEnc, rec)
+		if err != nil {
+			var be *perconstraint.BudgetError
+			if opts.Method == Hybrid && !opts.NoDegrade &&
+				errors.As(err, &be) && be.Class != nil && !demoted[be.Class] {
+				if demoted == nil {
+					demoted = make(map[*sep.Class]bool)
+				}
+				demoted[be.Class] = true
+				st.DemotedClasses++
+				continue
+			}
+			return query{}, err
+		}
+		st.BoolNodes = bb.NumNodes()
+		st.EIJStats = eijEnc.Stats()
+		st.CNFClauses = solver.Stats().Clauses
+
+		if opts.MaxCNFClauses > 0 && st.CNFClauses > opts.MaxCNFClauses {
+			return query{}, fmt.Errorf("%w: %d clauses > limit %d",
+				ErrClauseBudget, st.CNFClauses, opts.MaxCNFClauses)
+		}
+		if opts.MaxMemoryEstimate > 0 {
+			if est := estimateMemory(st.BoolNodes, solver.Stats()); est > opts.MaxMemoryEstimate {
+				return query{}, fmt.Errorf("%w: ~%d bytes > limit %d",
+					ErrMemoryBudget, est, opts.MaxMemoryEstimate)
+			}
+		}
+		return query{solver: solver, cnf: cnf, sdEnc: sdEnc, eijEnc: eijEnc}, nil
+	}
+}
+
 // AssertQuery asserts the SAT query of a validity check into solver:
 // validity of F ⟺ unsatisfiability of F_trans ∧ ¬F_bvar. ¬F_bvar goes
-// through Tseitin; F_trans is asserted directly in clausal form, each of its
-// variables resolved against the Tseitin variable map once, not once per
-// literal. A variable the map lacks (derived, or folded out of F_bvar) gets
-// a fresh solver variable at its first literal and is added to the returned
-// map, so SAT variables are numbered in clause order.
-func AssertQuery(solver *sat.Solver, bb *boolexpr.Builder, bvar *boolexpr.Node, trans *perconstraint.TransSet) boolexpr.CNF {
-	cnf := boolexpr.AssertTrue(bb.Not(bvar), solver)
-	varLits := make([]sat.Lit, len(trans.Vars))
-	for i := range varLits {
-		varLits[i] = sat.LitUndef
-	}
+// through Tseitin (the cnf span); then eij's transitivity generator streams
+// F_trans into solver in clausal form as it emits it (the trans span), so
+// F_trans is never held in memory. Each F_trans variable is resolved against
+// the Tseitin variable map once, not once per literal; a variable the map
+// lacks (derived, or folded out of F_bvar) gets a fresh solver variable at
+// its first literal and is added to the returned map, so SAT variables are
+// numbered in clause order. Every clause is asserted, even after the solver
+// is refuted at level 0, so the query's size does not depend on when that
+// happens. The returned CNF's Top is F_bvar's literal. rec may be nil.
+func AssertQuery(solver *sat.Solver, bvar *boolexpr.Node, eij *perconstraint.Encoder, rec *obs.Recorder) (boolexpr.CNF, error) {
+	cnfSpan := rec.StartSpan("cnf")
+	cnf := boolexpr.ToCNF(bvar, solver)
+	solver.AddClause(cnf.Top.Not())
+	cnfSpan.AttrInt("vars", solver.Stats().Vars).AttrInt("cnf_clauses", solver.Stats().Clauses)
+	cnfSpan.End()
+
+	transSpan := rec.StartSpan(StageTrans)
+	var varLits []sat.Lit // var index → SAT literal; LitUndef until resolved
 	clause := make([]sat.Lit, 0, 3)
-	lo := int32(0)
-	for _, hi := range trans.Ends {
+	n := 0
+	err := eij.EachTransClause(func(lits []int32, vars []*boolexpr.Node) error {
+		for len(varLits) < len(vars) {
+			varLits = append(varLits, sat.LitUndef)
+		}
 		clause = clause[:0]
-		for _, code := range trans.Lits[lo:hi] {
+		for _, code := range lits {
 			l := varLits[code>>1]
 			if l == sat.LitUndef {
-				name := trans.Vars[code>>1].Name()
+				name := vars[code>>1].Name()
 				var ok bool
 				if l, ok = cnf.VarLits[name]; !ok {
 					l = sat.PosLit(solver.NewVar())
@@ -482,9 +502,19 @@ func AssertQuery(solver *sat.Solver, bb *boolexpr.Builder, bvar *boolexpr.Node, 
 			clause = append(clause, l)
 		}
 		solver.AddClause(clause...)
-		lo = hi
+		n++
+		return nil
+	})
+	if err != nil {
+		transSpan.AttrBool("budget_exhausted", errors.Is(err, perconstraint.ErrTranslationLimit)).End()
+		return cnf, err
 	}
-	return cnf
+	transSpan.AttrInt("trans_clauses", n).
+		AttrInt("trans_constraints", eij.Stats().TransConstraints).
+		AttrInt("vars", solver.Stats().Vars).
+		AttrInt("cnf_clauses", solver.Stats().Clauses)
+	transSpan.End()
+	return cnf, nil
 }
 
 // estimateMemory is a coarse resident-size estimate in bytes of the encoded

@@ -19,16 +19,12 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
 	"time"
 
-	"sufsat/internal/boolexpr"
 	"sufsat/internal/funcelim"
-	"sufsat/internal/perconstraint"
 	"sufsat/internal/sat"
 	"sufsat/internal/sep"
-	"sufsat/internal/smalldomain"
 	"sufsat/internal/suf"
 )
 
@@ -40,14 +36,11 @@ const boolSymVarPrefix = "sb!"
 // Session is an open incremental decision session. It is not safe for
 // concurrent use; serialize DecideAssuming calls. Close releases the solver.
 type Session struct {
-	b      *suf.Builder
-	opts   Options
-	solver *sat.Solver
-	cnf    boolexpr.CNF
-	info   *sep.Info
-	sdEnc  *smalldomain.Encoder
-	eijEnc *perconstraint.Encoder
-	elim   *funcelim.Result
+	b    *suf.Builder
+	opts Options
+	query
+	info *sep.Info
+	elim *funcelim.Result
 
 	// encodeStats carries the pipeline measurements of the one-time prepare;
 	// every Result this session produces starts from a copy.
@@ -102,65 +95,15 @@ func OpenSession(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Opti
 	s.encodeStats.SepPreds = info.NumSepPreds
 	s.encodeStats.Classes = len(info.Classes)
 
-	// 3. Boolean encoding with the same EIJ→SD degradation ladder as
-	// DecideCtx: a class whose transitivity generation blows the budget is
-	// demoted to SD and the encoding retried (Hybrid only, once per class).
-	var (
-		bb      *boolexpr.Builder
-		bvar    *boolexpr.Node
-		trans   *perconstraint.TransSet
-		demoted map[*sep.Class]bool
-	)
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bb = boolexpr.NewBuilder()
-		s.encodeStats.SDClasses = 0
-		s.encodeStats.SDStats = smalldomain.Stats{}
-		bvar, s.sdEnc, s.eijEnc, err = encode(ctx, info, b, bb, opts, threshold, deadline, demoted, &s.encodeStats, nil)
-		if err != nil {
-			return nil, err
-		}
-		trans, err = s.eijEnc.TransSet()
-		if err == nil {
-			break
-		}
-		var be *perconstraint.BudgetError
-		if opts.Method == Hybrid && !opts.NoDegrade &&
-			errors.As(err, &be) && be.Class != nil && !demoted[be.Class] {
-			if demoted == nil {
-				demoted = make(map[*sep.Class]bool)
-			}
-			demoted[be.Class] = true
-			s.encodeStats.DemotedClasses++
-			continue
-		}
+	// 3. Encoding and CNF through the ladder DecideCtx runs, without hooks
+	// or spans: validity of F[γ] ⟺ UNSAT(F_trans ∧ ¬F_bvar ∧ γ).
+	s.query, err = buildQuery(ctx, info, b, opts, threshold, deadline, &s.encodeStats, nil, nil)
+	if err != nil {
 		return nil, err
 	}
-	s.encodeStats.BoolNodes = bb.NumNodes()
-	s.encodeStats.EIJStats = s.eijEnc.Stats()
-
-	// CNF: validity of F[γ] ⟺ UNSAT(F_trans ∧ ¬F_bvar ∧ γ).
-	solver := sat.New()
-	solver.ConflictBudget = opts.MaxConflicts
-	s.solver = solver
-	s.cnf = AssertQuery(solver, bb, bvar, trans)
-	s.encodeStats.CNFClauses = solver.Stats().Clauses
+	s.solver.ConflictBudget = opts.MaxConflicts
 	s.encodeTime = time.Since(start)
 	s.encodeStats.EncodeTime = s.encodeTime
-
-	// Post-encoding resource budgets, mirroring DecideCtx.
-	if opts.MaxCNFClauses > 0 && solver.Stats().Clauses > opts.MaxCNFClauses {
-		return nil, fmt.Errorf("%w: %d clauses > limit %d",
-			ErrClauseBudget, solver.Stats().Clauses, opts.MaxCNFClauses)
-	}
-	if opts.MaxMemoryEstimate > 0 {
-		if est := estimateMemory(s.encodeStats.BoolNodes, solver.Stats()); est > opts.MaxMemoryEstimate {
-			return nil, fmt.Errorf("%w: ~%d bytes > limit %d",
-				ErrMemoryBudget, est, opts.MaxMemoryEstimate)
-		}
-	}
 	return s, nil
 }
 
@@ -261,9 +204,7 @@ func (s *Session) DecideAssuming(ctx context.Context, assume map[string]bool) *R
 // result. Close is idempotent.
 func (s *Session) Close() {
 	s.closed = true
-	s.solver = nil
-	s.sdEnc = nil
-	s.eijEnc = nil
+	s.query = query{}
 	s.info = nil
 	s.elim = nil
 }

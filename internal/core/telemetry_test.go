@@ -30,7 +30,7 @@ func TestHybridSpanOrder(t *testing.T) {
 		t.Fatal("Result.Telemetry not set despite Options.Telemetry")
 	}
 
-	want := []string{StageFuncElim, StageAnalyze, StageEncode, StageTrans, "cnf", StageSAT}
+	want := []string{StageFuncElim, StageAnalyze, StageEncode, "cnf", StageTrans, StageSAT}
 	spans := res.Telemetry.Spans
 	if len(spans) != len(want) {
 		t.Fatalf("got %d spans %v, want exactly %v", len(spans), spanNames(spans), want)

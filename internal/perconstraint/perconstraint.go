@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
@@ -89,9 +90,9 @@ type predKey struct {
 }
 
 // Encoder encodes separation atoms per-constraint. Atom encodings are
-// collected; TransSet (or its adapters TransClauseList and
-// TransConstraints) must be called afterwards to obtain F_trans for every
-// predicate variable handed out.
+// collected; EachTransClause (or TransSet and its adapters TransClauseList
+// and TransConstraints, which collect its stream) must be called afterwards
+// to obtain F_trans for every predicate variable handed out.
 type Encoder struct {
 	bb   *boolexpr.Builder
 	sb   *suf.Builder
@@ -136,7 +137,7 @@ func (e *Encoder) Walker() *enc.Walker { return e.walker }
 func (e *Encoder) SetWalker(w *enc.Walker) { e.walker = w }
 
 // Stats returns the current counters (DerivedVars and TransConstraints are
-// populated by transitivity generation, TransSet and its adapters).
+// populated by transitivity generation, EachTransClause and its collectors).
 func (e *Encoder) Stats() Stats { return e.stats }
 
 // Lit returns the literal encoding the difference constraint x − y ≤ c,
@@ -299,11 +300,10 @@ func (o OrderHeuristic) String() string {
 
 // TransSet is F_trans in flat, pointer-free clausal form. A literal is the
 // code v<<1 | neg over the variable table Vars; clause i is the codes
-// Lits[Ends[i-1]:Ends[i]] (from 0 for the first clause). F_trans dominates
-// the EIJ encoding's size — millions of 2–3-literal clauses on the invariant
-// benchmarks — so it is held in three flat arrays instead of one heap object
-// per clause, and asserted directly as CNF clauses: a formula-level F_trans
-// would pay ~6× Tseitin overhead.
+// Lits[Ends[i-1]:Ends[i]] (from 0 for the first clause). It is
+// EachTransClause's stream collected into three flat arrays, for callers
+// that need F_trans as a whole; the decide path asserts the stream instead
+// and never holds it.
 type TransSet struct {
 	// Vars holds one node per predicate variable, source or derived, a code
 	// may name.
@@ -332,7 +332,7 @@ func (t *TransSet) Lit(code int32) TransLit {
 }
 
 // TransConstraints generates F_trans as a single Boolean formula. Prefer
-// TransSet plus direct clause assertion for large encodings.
+// EachTransClause plus direct clause assertion for large encodings.
 func (e *Encoder) TransConstraints() (*boolexpr.Node, error) {
 	ts, err := e.TransSet()
 	if err != nil {
@@ -368,20 +368,42 @@ func (e *Encoder) TransClauseList() ([]TransClause, error) {
 	return out, nil
 }
 
-// TransSet generates the transitivity constraints for every predicate
-// variable handed out so far, by per-class Fourier–Motzkin vertex
-// elimination. Derived variables are created in bb at their first use.
+// TransSet collects EachTransClause's stream.
 func (e *Encoder) TransSet() (*TransSet, error) {
-	ts := &TransSet{Vars: make([]*boolexpr.Node, len(e.order))}
+	ts := &TransSet{}
+	err := e.EachTransClause(func(lits []int32, vars []*boolexpr.Node) error {
+		if len(ts.Lits)+len(lits) > math.MaxInt32 {
+			return fmt.Errorf("%w: more than %d literals", ErrTranslationLimit, math.MaxInt32)
+		}
+		ts.Vars = vars
+		ts.Lits = append(reserve(ts.Lits, len(lits)), lits...)
+		ts.Ends = append(reserve(ts.Ends, 1), int32(len(ts.Lits)))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ts, nil
+}
+
+// EachTransClause generates the transitivity constraints for every predicate
+// variable handed out so far, by per-class Fourier–Motzkin vertex
+// elimination, and calls fn with each clause as it is emitted. lits holds
+// the clause's literal codes v<<1 | neg over vars, the variable table so
+// far: the source variables in allocation order, then each derived variable,
+// created in bb at its first use. Both slices are valid only during the
+// call. A non-nil error from fn aborts the generation and is returned.
+func (e *Encoder) EachTransClause(fn func(lits []int32, vars []*boolexpr.Node) error) error {
+	vars := make([]*boolexpr.Node, len(e.order))
 	// Group canonical predicates by class; a source variable's index in
-	// Vars is its allocation index.
+	// vars is its allocation index.
 	byClass := make(map[*sep.Class][]int32)
 	for i, k := range e.order {
 		cl := e.info.ClassOf[k.x]
 		if cl == nil || e.info.ClassOf[k.y] != cl {
-			return nil, fmt.Errorf("perconstraint: predicate %v crosses classes", k)
+			return fmt.Errorf("perconstraint: predicate %v crosses classes", k)
 		}
-		ts.Vars[i] = e.vars[k]
+		vars[i] = e.vars[k]
 		byClass[cl] = append(byClass[cl], int32(i))
 	}
 	classes := make([]*sep.Class, 0, len(byClass))
@@ -390,26 +412,20 @@ func (e *Encoder) TransSet() (*TransSet, error) {
 	}
 	sort.Slice(classes, func(i, j int) bool { return classes[i].ID < classes[j].ID })
 
-	g := transGen{e: e, ts: ts, budget: e.MaxTrans, ids: make(map[string]int32),
-		edgeAt: make(map[edgeKey]int32), canon: make(map[edgeKey]int32)}
+	g := transGen{e: e, fn: fn, vars: vars, budget: e.MaxTrans, ids: make(map[string]int32)}
 	for _, cl := range classes {
 		if err := g.class(cl, byClass[cl]); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return ts, nil
-}
-
-// edgeKey identifies the difference edge x − y ≤ c between dense vertex IDs.
-type edgeKey struct {
-	x, y int32
-	c    int
+	return nil
 }
 
 // transEdge is a labelled difference edge x − y ≤ c under literal code lit,
 // threaded onto the incidence lists of both endpoints.
 type transEdge struct {
-	edgeKey
+	x, y         int32
+	c            int
 	lit          int32
 	nextX, nextY int32 // next edge incident to x / to y; -1 ends the list
 }
@@ -429,11 +445,13 @@ func cmpArc(a, b arc) int {
 	return cmp.Compare(a.c, b.c)
 }
 
-// transGen is the state of one TransSet call. Its slices and maps are
-// reused from class to class, so elimination allocates only as they grow.
+// transGen is the state of one EachTransClause call. Its slices and its
+// edge index are reused from class to class, so elimination allocates only
+// as they grow.
 type transGen struct {
 	e      *Encoder
-	ts     *TransSet
+	fn     func(lits []int32, vars []*boolexpr.Node) error
+	vars   []*boolexpr.Node // variable table: source variables, then derived ones
 	cl     *sep.Class
 	budget int // remaining MaxTrans allowance, shared by all classes
 	nCons  int // clauses emitted for the current class
@@ -449,10 +467,10 @@ type transGen struct {
 	alive         []int32 // vertices not yet eliminated, ascending
 
 	edges  []transEdge
-	edgeAt map[edgeKey]int32 // edge index; edges of eliminated vertices linger harmlessly
-	canon  map[edgeKey]int32 // canonical (x < y) predicate → variable index
+	idx    edgeIndex // edges and canonical variables of the class by (x, y, c)
 	in     []arc
 	out    []arc
+	clause []int32
 	name   []byte
 }
 
@@ -482,8 +500,7 @@ func (g *transGen) class(cl *sep.Class, preds []int32) error {
 		g.alive = append(g.alive, int32(i))
 	}
 	g.edges = g.edges[:0]
-	clear(g.edgeAt)
-	clear(g.canon)
+	g.idx.reset()
 
 	// Weight bound for derived edges: every edge of a *simple* negative
 	// cycle is a contiguous subpath of it, and with n vertices and initial
@@ -519,13 +536,12 @@ func (g *transGen) class(cl *sep.Class, preds []int32) error {
 	for _, pi := range preds {
 		k := e.order[pi]
 		x, y := g.ids[k.x], g.ids[k.y]
-		g.canon[edgeKey{x, y, k.c}] = pi
+		g.idx.entry(x, y, k.c).pvar = pi
 		g.addEdge(x, y, k.c, pi<<1)
 		g.addEdge(y, x, -k.c-1, pi<<1|1)
 	}
 
 	// Vertex elimination in the configured order.
-	ts := g.ts
 	for len(g.alive) > 0 {
 		at := g.pick()
 		v := g.alive[at]
@@ -558,40 +574,34 @@ func (g *transGen) class(cl *sep.Class, preds []int32) error {
 		for _, a := range in { // a: x − v ≤ a.c
 			for _, b := range out { // b: v − y ≤ b.c
 				x, y := a.u, b.u
-				c := a.c + b.c
-				if c < floor {
-					c = floor
-				}
+				c := max(a.c+b.c, floor)
 				if a.lit^b.lit == 1 {
 					continue // composing a literal with its own negation
 				}
-				ts.Lits = reserve(ts.Lits, 3)
-				mark := len(ts.Lits)
-				ts.Lits = append(ts.Lits, a.lit^1)
+				cl := append(g.clause[:0], a.lit^1)
 				if a.lit != b.lit {
-					ts.Lits = append(ts.Lits, b.lit^1)
+					cl = append(cl, b.lit^1)
 				}
 				switch {
 				case x == y:
 					if c >= 0 {
-						ts.Lits = ts.Lits[:mark]
 						continue
 					}
 					// Negative self-loop: the antecedent is contradictory.
 				case c > hiBound:
-					ts.Lits = ts.Lits[:mark]
 					continue // cannot be part of a simple negative cycle
 				default:
-					if ei, ok := g.edgeAt[edgeKey{x, y, c}]; ok {
+					if en := g.idx.get(x, y, c); en != nil && en.lit >= 0 {
 						// Edge already present: just link the new derivation.
-						ts.Lits = append(ts.Lits, g.edges[ei].lit)
+						cl = append(cl, en.lit)
 						break
 					}
 					l3 := g.litFor(x, y, c)
 					g.addEdge(x, y, c, l3)
-					ts.Lits = append(ts.Lits, l3)
+					cl = append(cl, l3)
 				}
-				if err := g.emit(); err != nil {
+				g.clause = cl
+				if err := g.emit(cl); err != nil {
 					return err
 				}
 			}
@@ -632,16 +642,18 @@ func (g *transGen) pick() int {
 	return at
 }
 
-// addEdge adds x − y ≤ c under lit unless that edge already exists.
+// addEdge adds x − y ≤ c under lit unless that edge already exists. Edges
+// of eliminated vertices stay in the index harmlessly: no later derivation
+// can reach them.
 func (g *transGen) addEdge(x, y int32, c int, lit int32) {
-	k := edgeKey{x, y, c}
-	if _, ok := g.edgeAt[k]; ok {
+	en := g.idx.entry(x, y, c)
+	if en.lit >= 0 {
 		return
 	}
+	en.lit = lit
 	ei := int32(len(g.edges))
-	g.edges = append(g.edges, transEdge{edgeKey: k, lit: lit, nextX: g.head[x], nextY: g.head[y]})
+	g.edges = append(g.edges, transEdge{x: x, y: y, c: c, lit: lit, nextX: g.head[x], nextY: g.head[y]})
 	g.head[x], g.head[y] = ei, ei
-	g.edgeAt[k] = ei
 	g.outdeg[x]++
 	g.indeg[y]++
 }
@@ -656,33 +668,28 @@ func (g *transGen) litFor(x, y int32, c int) int32 {
 		cx, cy, cc = y, x, -c-1
 		neg = 1
 	}
-	k := edgeKey{cx, cy, cc}
-	if v, ok := g.canon[k]; ok {
-		return v<<1 | neg
+	en := g.idx.entry(cx, cy, cc)
+	if en.pvar >= 0 {
+		return en.pvar<<1 | neg
 	}
 	nx, ny := g.names[cx], g.names[cy]
 	b := append(g.name[:0], "eijD!"...)
 	b = append(append(b, nx...), '!')
 	b = append(append(b, ny...), '!')
 	g.name = strconv.AppendInt(b, int64(cc), 10)
-	ts := g.ts
-	v := int32(len(ts.Vars))
-	ts.Vars = append(ts.Vars, g.e.bb.Var(string(g.name)))
+	v := int32(len(g.vars))
+	g.vars = append(g.vars, g.e.bb.Var(string(g.name)))
 	if _, seen := g.e.derivedSeen(nx, ny, cc); !seen {
 		g.e.stats.DerivedVars++
 	}
-	g.canon[k] = v
+	en.pvar = v
 	return v<<1 | neg
 }
 
-// emit closes the clause whose literals were just appended, charges it to
-// the budget and polls for cancellation every 256 clauses of a class.
-func (g *transGen) emit() error {
-	e, ts := g.e, g.ts
-	if len(ts.Lits) > math.MaxInt32 {
-		return fmt.Errorf("%w: more than %d literals", ErrTranslationLimit, math.MaxInt32)
-	}
-	ts.Ends = append(reserve(ts.Ends, 1), int32(len(ts.Lits)))
+// emit charges the clause lits to the budget, hands it to the caller and
+// polls for cancellation every 256 clauses of a class.
+func (g *transGen) emit(lits []int32) error {
+	e := g.e
 	g.nCons++
 	e.stats.TransConstraints++
 	if e.MaxTrans > 0 {
@@ -690,6 +697,9 @@ func (g *transGen) emit() error {
 		if g.budget < 0 {
 			return &BudgetError{Class: g.cl, Limit: e.MaxTrans}
 		}
+	}
+	if err := g.fn(lits, g.vars); err != nil {
+		return err
 	}
 	if g.nCons%256 == 0 {
 		if e.Ctx != nil {
@@ -705,6 +715,93 @@ func (g *transGen) emit() error {
 		}
 	}
 	return nil
+}
+
+// edgeIndex maps the difference constraint x − y ≤ c between vertices of
+// the class being eliminated to the literal of its edge and to the variable
+// of its canonical predicate (x < y). It is an open-addressing table with
+// linear probing over a power-of-two slot array, kept from class to class:
+// reset empties only the slots the last class filled, so a small class
+// after a large one pays for its own entries, not for the table's capacity.
+type edgeIndex struct {
+	slots []edgeEntry // x < 0 marks an empty slot
+	used  []int32     // positions of the filled slots
+	shift uint        // 64 − log2(len(slots))
+}
+
+// edgeEntry is one slot of an edgeIndex.
+type edgeEntry struct {
+	x, y int32
+	c    int
+	lit  int32 // literal code of the edge x − y ≤ c; -1 if there is none
+	pvar int32 // variable index of the canonical predicate x − y ≤ c; -1 if there is none
+}
+
+// find returns the slot of (x, y, c), or the empty slot where it belongs.
+func (t *edgeIndex) find(x, y int32, c int) (int, bool) {
+	h := (uint64(uint32(x))<<32 | uint64(uint32(y))) ^ uint64(c)*0xc2b2ae3d27d4eb4f
+	mask := len(t.slots) - 1
+	for i := int((h * 0x9e3779b97f4a7c15) >> t.shift); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.x < 0 {
+			return i, false
+		}
+		if s.x == x && s.y == y && s.c == c {
+			return i, true
+		}
+	}
+}
+
+// get returns the entry of x − y ≤ c, or nil if there is none.
+func (t *edgeIndex) get(x, y int32, c int) *edgeEntry {
+	if len(t.slots) == 0 {
+		return nil
+	}
+	if i, ok := t.find(x, y, c); ok {
+		return &t.slots[i]
+	}
+	return nil
+}
+
+// entry returns the entry of x − y ≤ c, adding one with neither an edge nor
+// a variable if there is none. The pointer is valid until the next entry
+// call.
+func (t *edgeIndex) entry(x, y int32, c int) *edgeEntry {
+	if 2*(len(t.used)+1) > len(t.slots) {
+		t.grow()
+	}
+	i, ok := t.find(x, y, c)
+	if !ok {
+		t.slots[i] = edgeEntry{x: x, y: y, c: c, lit: -1, pvar: -1}
+		t.used = append(t.used, int32(i))
+	}
+	return &t.slots[i]
+}
+
+// reset empties the slots in use.
+func (t *edgeIndex) reset() {
+	for _, i := range t.used {
+		t.slots[i].x = -1
+	}
+	t.used = t.used[:0]
+}
+
+// grow doubles the slot array and re-inserts the entries in use.
+func (t *edgeIndex) grow() {
+	old := t.slots
+	n := max(2*len(old), 256)
+	t.slots = make([]edgeEntry, n)
+	for i := range t.slots {
+		t.slots[i].x = -1
+	}
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	used := t.used
+	t.used = t.used[:0]
+	for _, p := range used {
+		i, _ := t.find(old[p].x, old[p].y, old[p].c)
+		t.slots[i] = old[p]
+		t.used = append(t.used, int32(i))
+	}
 }
 
 // derivedSeen tracks distinct derived variables for stats.

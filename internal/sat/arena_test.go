@@ -102,3 +102,33 @@ func TestGarbageCollectUnderLoad(t *testing.T) {
 		t.Fatalf("arena grew to %d words for %d live words; GC not effective", len(s.ca.data), live)
 	}
 }
+
+// TestAddClauseAllocs pins clause intake at the solver: AddClause simplifies
+// into a reused scratch slice, so adding clauses allocates only when the
+// arena, the clause list or a watch list grows. Over 50 variables every
+// watch list keeps doubling, so that growth amortizes to almost nothing.
+func TestAddClauseAllocs(t *testing.T) {
+	const nVars, perRun = 50, 10000
+	rng := rand.New(rand.NewSource(3))
+	clauses := make([][3]Lit, perRun)
+	for i := range clauses {
+		perm := rng.Perm(nVars)
+		for j := range clauses[i] {
+			clauses[i][j] = MkLit(perm[j], rng.Intn(2) == 0)
+		}
+	}
+	s := New()
+	for range nVars {
+		s.NewVar()
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for i := range clauses {
+			if !s.AddClause(clauses[i][:]...) {
+				t.Fatal("clause rejected")
+			}
+		}
+	})
+	if perClause := allocs / perRun; perClause > 0.05 {
+		t.Errorf("%.0f allocations per %d clauses: %.3f per clause, want <= 0.05", allocs, perRun, perClause)
+	}
+}

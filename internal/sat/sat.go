@@ -215,6 +215,8 @@ type Solver struct {
 
 	stats Stats
 
+	addBuf []Lit // AddClause's simplification scratch
+
 	// Clause exchange (parallel workers only; nil otherwise).
 	ex       *exchange
 	exID     int32
@@ -302,9 +304,12 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	if s.decisionLevel() != 0 {
 		s.cancelUntil(0)
 	}
-	// Sort-free simplification: drop duplicate and false literals, detect
-	// tautologies and satisfied clauses.
-	out := make([]Lit, 0, len(lits))
+	// Sort-free simplification into the reused scratch slice: drop
+	// duplicate and false literals, detect tautologies and satisfied clauses.
+	if cap(s.addBuf) < len(lits) {
+		s.addBuf = make([]Lit, 0, len(lits))
+	}
+	out := s.addBuf[:0]
 outer:
 	for _, l := range lits {
 		switch s.value(l) {

@@ -142,6 +142,9 @@ func TestMalformedRequests(t *testing.T) {
 		{"bad formula", `{"formula":"((("}`},
 		{"bad smt2", `{"formula":"(assert)","smt2":true}`},
 		{"oversized", `{"formula":"` + strings.Repeat("x", 600) + `"}`},
+		// Offset numerals summing past suf.MaxNumeral: each unit would be a
+		// succ/pred node.
+		{"numeral flood", `{"formula":"(and (= a1 (+ b1 65536)) (= a2 (+ b2 65536)) (= a3 (+ b3 65536)) (= a4 (+ b4 65536)))"}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(c.BaseURL+"/decide", "application/json", strings.NewReader(tc.body))

@@ -29,9 +29,9 @@ import (
 // Zero is the designated base constant standing for the integer 0.
 const Zero = "$zero"
 
-// checkOffset rejects offsets beyond suf.MaxNumeral. Offsets become succ/pred
-// chains (one node per unit), so an unbounded literal in a script would let a
-// few bytes of input allocate gigabytes.
+// checkOffset rejects integer literals beyond suf.MaxNumeral, so that folding
+// literals into one offset cannot overflow; translator.offset bounds what
+// the folded offsets build.
 func checkOffset(k int) error {
 	if k > suf.MaxNumeral || k < -suf.MaxNumeral {
 		return fmt.Errorf("smtlib: offset magnitude %d exceeds the supported cap %d", k, suf.MaxNumeral)
@@ -197,9 +197,24 @@ func (v value) isInt() bool  { return v.i != nil }
 func (v value) isBool() bool { return v.f != nil }
 
 type translator struct {
-	b      *suf.Builder
-	script *Script
-	lets   []map[string]value // let-binding scopes
+	b       *suf.Builder
+	script  *Script
+	lets    []map[string]value // let-binding scopes
+	offsets int                // sum of |k| over the offsets built so far
+}
+
+// offset builds x + k. Offsets become succ/pred chains, one node per unit, so
+// suf.MaxNumeral caps the sum of |k| over all the offsets one script's
+// translation builds, as it caps the numerals of one SUF formula; otherwise a
+// few bytes of input per offset could allocate gigabytes. The charge falls
+// where offsets are built, not where literals are read: a chain or distinct
+// builds an argument's offset once per pair it compares.
+func (t *translator) offset(x *suf.IntExpr, k int) (*suf.IntExpr, error) {
+	if left := suf.MaxNumeral - t.offsets; k > left || k < -left {
+		return nil, fmt.Errorf("smtlib: offsets sum to more than the supported total magnitude %d", suf.MaxNumeral)
+	}
+	t.offsets += max(k, -k)
+	return t.b.Offset(x, k), nil
 }
 
 func (t *translator) command(n snode) error {
@@ -293,10 +308,8 @@ func (t *translator) term(n snode) (value, error) {
 			return value{f: b.False()}, nil
 		}
 		if k, err := strconv.Atoi(a); err == nil {
-			if err := checkOffset(k); err != nil {
-				return value{}, err
-			}
-			return value{i: b.Offset(b.Sym(Zero), k)}, nil
+			i, err := t.offset(b.Sym(Zero), k)
+			return value{i: i}, err
 		}
 		if _, ok := t.script.BoolFuns[a]; ok {
 			return value{f: b.BoolSym(a)}, nil
@@ -437,6 +450,30 @@ func (t *translator) eqChain(head string, args []snode) (value, error) {
 	if len(args) < 2 {
 		return value{}, fmt.Errorf("smtlib: %s takes at least 2 arguments", head)
 	}
+	// Integer chains go through the difference-form path so (- x y) works.
+	if fs, err := t.diffForms(args); err == nil {
+		out := b.True()
+		if head == "=" {
+			for i := 0; i+1 < len(args); i++ {
+				c, err := t.comparePair("=", args[i], args[i+1], fs[i], fs[i+1])
+				if err != nil {
+					return value{}, err
+				}
+				out = b.And(out, c)
+			}
+		} else {
+			for i := 0; i < len(args); i++ {
+				for j := i + 1; j < len(args); j++ {
+					c, err := t.comparePair("=", args[i], args[j], fs[i], fs[j])
+					if err != nil {
+						return value{}, err
+					}
+					out = b.And(out, b.Not(c))
+				}
+			}
+		}
+		return value{f: out}, nil
+	}
 	vs := make([]value, len(args))
 	for i, a := range args {
 		v, err := t.term(a)
@@ -453,37 +490,6 @@ func (t *translator) eqChain(head string, args []snode) (value, error) {
 			return b.Iff(x.f, y.f), nil
 		}
 		return nil, fmt.Errorf("smtlib: %s across different sorts", head)
-	}
-	// Integer chains go through the difference-form path so (- x y) works.
-	allInt := true
-	for _, a := range args {
-		if _, err := t.diffForm(a); err != nil {
-			allInt = false
-			break
-		}
-	}
-	if allInt {
-		out := b.True()
-		if head == "=" {
-			for i := 0; i+1 < len(args); i++ {
-				c, err := t.comparePair("=", args[i], args[i+1])
-				if err != nil {
-					return value{}, err
-				}
-				out = b.And(out, c)
-			}
-		} else {
-			for i := 0; i < len(args); i++ {
-				for j := i + 1; j < len(args); j++ {
-					c, err := t.comparePair("=", args[i], args[j])
-					if err != nil {
-						return value{}, err
-					}
-					out = b.And(out, b.Not(c))
-				}
-			}
-		}
-		return value{f: out}, nil
 	}
 	out := b.True()
 	if head == "=" {
@@ -508,15 +514,32 @@ func (t *translator) eqChain(head string, args []snode) (value, error) {
 	return value{f: out}, nil
 }
 
+// diffForms returns the difference form of every argument.
+func (t *translator) diffForms(args []snode) ([]diffForm, error) {
+	fs := make([]diffForm, len(args))
+	for i, a := range args {
+		f, err := t.diffForm(a)
+		if err != nil {
+			return nil, err
+		}
+		fs[i] = f
+	}
+	return fs, nil
+}
+
 // orderChain handles chained comparisons over Int, in full difference form.
 func (t *translator) orderChain(head string, args []snode) (value, error) {
 	b := t.b
 	if len(args) < 2 {
 		return value{}, fmt.Errorf("smtlib: %s takes at least 2 arguments", head)
 	}
+	fs, err := t.diffForms(args)
+	if err != nil {
+		return value{}, err
+	}
 	out := b.True()
 	for i := 0; i+1 < len(args); i++ {
-		c, err := t.comparePair(head, args[i], args[i+1])
+		c, err := t.comparePair(head, args[i], args[i+1], fs[i], fs[i+1])
 		if err != nil {
 			return value{}, err
 		}
@@ -573,9 +596,6 @@ func (t *translator) diffForm(n snode) (diffForm, error) {
 					out.neg = base
 				}
 			}
-			if err := checkOffset(out.off); err != nil {
-				return diffForm{}, err
-			}
 			return out, nil
 		}
 	}
@@ -589,19 +609,12 @@ func (t *translator) diffForm(n snode) (diffForm, error) {
 	return diffForm{pos: v.i}, nil
 }
 
-// comparePair builds L ⋈ R by moving negated bases across the relation:
+// comparePair builds L ⋈ R from their difference forms lf and rf by moving
+// negated bases across the relation:
 // (lp − ln + lo) ⋈ (rp − rn + ro) ⟺ X + lo ⋈ Y + ro with X ∈ {lp, rn},
 // Y ∈ {rp, ln} (difference logic admits at most one base on each side).
-func (t *translator) comparePair(op string, l, r snode) (*suf.BoolExpr, error) {
+func (t *translator) comparePair(op string, l, r snode, lf, rf diffForm) (*suf.BoolExpr, error) {
 	b := t.b
-	lf, err := t.diffForm(l)
-	if err != nil {
-		return nil, err
-	}
-	rf, err := t.diffForm(r)
-	if err != nil {
-		return nil, err
-	}
 	pick := func(a, c *suf.IntExpr, what string) (*suf.IntExpr, error) {
 		switch {
 		case a != nil && c != nil:
@@ -621,8 +634,14 @@ func (t *translator) comparePair(op string, l, r snode) (*suf.BoolExpr, error) {
 	if err != nil {
 		return nil, err
 	}
-	lt := b.Offset(x, lf.off)
-	rt := b.Offset(y, rf.off)
+	lt, err := t.offset(x, lf.off)
+	if err != nil {
+		return nil, err
+	}
+	rt, err := t.offset(y, rf.off)
+	if err != nil {
+		return nil, err
+	}
 	switch op {
 	case "<":
 		return b.Lt(lt, rt), nil
@@ -702,20 +721,17 @@ func (t *translator) arith(n snode) (*suf.IntExpr, error) {
 			}
 			base = x
 		}
-		if err := checkOffset(off); err != nil {
-			return nil, err
-		}
 		if head == "-" && len(args) == 1 {
 			// unary minus: only of a literal
 			if base == nil {
-				return b.Offset(b.Sym(Zero), -off), nil
+				return t.offset(b.Sym(Zero), -off)
 			}
 			return nil, fmt.Errorf("smtlib: unary minus of a non-literal in %v", render(n))
 		}
 		if base == nil {
-			return b.Offset(b.Sym(Zero), off), nil
+			base = b.Sym(Zero)
 		}
-		return b.Offset(base, off), nil
+		return t.offset(base, off)
 	default:
 		v, err := t.term(n)
 		if err != nil {

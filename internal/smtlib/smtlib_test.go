@@ -1,6 +1,9 @@
 package smtlib
 
 import (
+	"fmt"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -264,5 +267,50 @@ func TestFormulaConjunction(t *testing.T) {
 	f := script.Formula()
 	if !strings.Contains(f.String(), "and") {
 		t.Fatalf("conjunction missing: %v", f)
+	}
+}
+
+// TestNumeralFlood checks that suf.MaxNumeral caps the sum of the offsets a
+// script builds, not each one: four offsets of 2^16 are rejected before the
+// second is built (one alone allocates about 19 MB of succ/pred nodes),
+// while a single offset at the cap still translates.
+func TestNumeralFlood(t *testing.T) {
+	var decls, flood strings.Builder
+	for i := 1; i <= 4; i++ {
+		fmt.Fprintf(&decls, "(declare-fun a%d () Int)(declare-fun b%d () Int)", i, i)
+		fmt.Fprintf(&flood, "(assert (= a%d (+ b%d 65536)))", i, i)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParseScript(decls.String()+flood.String(), suf.NewBuilder())
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; err == nil || n > 25<<20 {
+		t.Errorf("four offsets of 2^16: %v after allocating %.1f MB, want an error within 25 MB", err, float64(n)/(1<<20))
+	} else if !strings.Contains(err.Error(), strconv.Itoa(suf.MaxNumeral)) {
+		t.Errorf("error %q does not name the cap %d", err, suf.MaxNumeral)
+	}
+	for _, src := range []string{
+		"(assert (= a1 (+ b1 65536)))",
+		"(assert (< a1 (- b1 65536)))",
+		"(assert (distinct (+ a1 30000) (- b1 35536)))",
+	} {
+		if _, err := ParseScript(decls.String()+src, suf.NewBuilder()); err != nil {
+			t.Errorf("%s: %v", src, err)
+		}
+	}
+}
+
+// TestEqualityOfDifference checks that = reads both sides in difference
+// form, so a difference of constants can be compared with a literal.
+func TestEqualityOfDifference(t *testing.T) {
+	const decls = "(declare-const x Int)(declare-const y Int)"
+	if checkSat(t, decls+"(assert (= (- x y) 3))(assert (< x y))(check-sat)") {
+		t.Error("x − y = 3 ∧ x < y must be unsat")
+	}
+	if !checkSat(t, decls+"(assert (= (- x y) 3))(assert (= x 10))(check-sat)") {
+		t.Error("x − y = 3 ∧ x = 10 must be sat")
+	}
+	if checkSat(t, decls+"(assert (= (- x y) 3))(assert (= y 7))(assert (distinct x 10))(check-sat)") {
+		t.Error("x − y = 3 ∧ y = 7 ∧ x ≠ 10 must be unsat")
 	}
 }

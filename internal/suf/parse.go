@@ -37,10 +37,12 @@ func Parse(src string, b *Builder) (*BoolExpr, error) {
 	return f, nil
 }
 
-// MaxNumeral caps the magnitude of offset numerals accepted by the parser.
-// Offsets are represented as succ/pred chains (one node per unit), so an
-// unbounded numeral would let a few bytes of input allocate gigabytes; 2^16
-// is far beyond any published difference-logic benchmark's offsets.
+// MaxNumeral caps the sum of |k| over all the offset numerals k of one
+// formula accepted by the parser (the SMT-LIB translator applies the same
+// cap to one script). Offsets are represented as succ/pred chains (one node
+// per unit), so a cap on each numeral alone would still let a few bytes of
+// input per numeral allocate gigabytes; 2^16 is far beyond the total offset
+// of any published difference-logic benchmark.
 const MaxNumeral = 1 << 16
 
 // MustParse is Parse, panicking on error. It is intended for tests and
@@ -72,10 +74,11 @@ func isDelim(c byte) bool {
 }
 
 type parser struct {
-	src  string
-	pos  int
-	b    *Builder
-	args []*IntExpr // operands of the applications being read, innermost last
+	src      string
+	pos      int
+	b        *Builder
+	args     []*IntExpr // operands of the applications being read, innermost last
+	numerals int        // sum of |k| over the offset numerals read so far
 }
 
 // skip advances past white space and line comments.
@@ -344,9 +347,10 @@ func (p *parser) intList() (*IntExpr, error) {
 		if err != nil {
 			return nil, fmt.Errorf("suf: bad numeral %q: %v", num, err)
 		}
-		if k > MaxNumeral || k < -MaxNumeral {
-			return nil, fmt.Errorf("suf: numeral %d exceeds the supported offset magnitude %d", k, MaxNumeral)
+		if left := MaxNumeral - p.numerals; k > left || k < -left {
+			return nil, fmt.Errorf("suf: offset numerals sum to more than the supported total magnitude %d", MaxNumeral)
 		}
+		p.numerals += max(k, -k)
 		if err := p.end(op, 2); err != nil {
 			return nil, err
 		}

@@ -77,9 +77,10 @@ type sexpNode struct {
 }
 
 type parser struct {
-	toks []string
-	pos  int
-	b    *suf.Builder
+	toks     []string
+	pos      int
+	b        *suf.Builder
+	numerals int
 }
 
 func (p *parser) sexp() (sexpNode, error) {
@@ -280,9 +281,10 @@ func (p *parser) intOf(sx sexpNode) (*suf.IntExpr, error) {
 		if err != nil {
 			return nil, fmt.Errorf("suf: bad numeral %q: %v", args[1].atom, err)
 		}
-		if k > suf.MaxNumeral || k < -suf.MaxNumeral {
-			return nil, fmt.Errorf("suf: numeral %d exceeds the supported offset magnitude %d", k, suf.MaxNumeral)
+		if left := suf.MaxNumeral - p.numerals; k > left || k < -left {
+			return nil, fmt.Errorf("suf: offset numerals sum to more than the supported total magnitude %d", suf.MaxNumeral)
 		}
+		p.numerals += max(k, -k)
 		t, err := p.intOf(args[0])
 		if err != nil {
 			return nil, err

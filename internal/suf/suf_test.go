@@ -2,6 +2,7 @@ package suf
 
 import (
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -356,5 +357,41 @@ func TestStringIsLinear(t *testing.T) {
 	f := b.Eq(b.Sym("x"), b.Offset(b.Sym("y"), MaxNumeral))
 	if n := testing.AllocsPerRun(1, func() { _ = f.String() }); n > 64 {
 		t.Errorf("String of a %d-deep succ chain made %.0f allocations", MaxNumeral, n)
+	}
+}
+
+// numeralFlood is four offsets of 2^16 each: within the cap one by one, four
+// times over it together. Each unit of an offset is a succ/pred node, so one
+// such offset alone already allocates about 19 MB.
+const numeralFlood = "(and (= a1 (+ b1 65536)) (= a2 (+ b2 65536)) (= a3 (+ b3 65536)) (= a4 (+ b4 65536)))"
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestNumeralFlood checks that MaxNumeral caps the sum of the offset
+// numerals of a formula, not each one: numeralFlood is rejected before its
+// second offset is built, while a single offset at the cap still parses.
+func TestNumeralFlood(t *testing.T) {
+	var err error
+	if n := allocated(func() { _, err = Parse(numeralFlood, NewBuilder()) }); err == nil || n > 25<<20 {
+		t.Errorf("Parse(numeralFlood) = %v after allocating %.1f MB, want an error within 25 MB", err, float64(n)/(1<<20))
+	} else if !strings.Contains(err.Error(), strconv.Itoa(MaxNumeral)) {
+		t.Errorf("error %q does not name the cap %d", err, MaxNumeral)
+	}
+	for _, src := range []string{"(< x (+ x 65536))", "(< (- x 30000) (+ x 35536))"} {
+		if _, err := Parse(src, NewBuilder()); err != nil {
+			t.Errorf("Parse(%s): %v", src, err)
+		}
+	}
+	for _, src := range []string{"(< x (+ x 65537))", "(< (- x 30000) (+ x 35537))"} {
+		if _, err := Parse(src, NewBuilder()); err == nil {
+			t.Errorf("Parse(%s) accepted numerals summing past the cap", src)
+		}
 	}
 }
