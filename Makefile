@@ -80,7 +80,8 @@ fuzz-smoke:
 # trace-smoke drives sufdecide with every telemetry sink on an example and
 # validates the artifacts: the Chrome trace must contain the hybrid pipeline
 # phases in order and the JSON snapshot must match the schema in
-# docs/FORMATS.md (strict decode, no unknown fields).
+# docs/FORMATS.md (strict decode, no unknown fields). The lazy and SVC runs
+# pin the funcelim and analyze spans of the front half all engines share.
 trace-smoke:
 	$(GO) run ./cmd/sufdecide -method hybrid -j 2 \
 		-trace /tmp/sufsat-trace-smoke.json \
@@ -90,6 +91,22 @@ trace-smoke:
 		-trace /tmp/sufsat-trace-smoke.json \
 		-stats /tmp/sufsat-stats-smoke.json \
 		-want-spans funcelim,analyze,encode,cnf,trans,sat
+	$(GO) run ./cmd/sufdecide -method lazy \
+		-trace /tmp/sufsat-trace-smoke.json \
+		-stats=json -stats-out /tmp/sufsat-stats-smoke.json \
+		examples/formulas/congruence.suf
+	$(GO) run ./cmd/tracecheck \
+		-trace /tmp/sufsat-trace-smoke.json \
+		-stats /tmp/sufsat-stats-smoke.json \
+		-want-spans funcelim,analyze,abstract,refine
+	$(GO) run ./cmd/sufdecide -method svc \
+		-trace /tmp/sufsat-trace-smoke.json \
+		-stats=json -stats-out /tmp/sufsat-stats-smoke.json \
+		examples/formulas/congruence.suf
+	$(GO) run ./cmd/tracecheck \
+		-trace /tmp/sufsat-trace-smoke.json \
+		-stats /tmp/sufsat-stats-smoke.json \
+		-want-spans funcelim,analyze,split
 
 # serve-smoke builds cmd/sufserved and exercises the daemon end to end:
 # ephemeral port, valid/invalid/malformed requests through the retrying

@@ -12,6 +12,7 @@
 package sufsat_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -39,7 +40,7 @@ func decideBench(b *testing.B, name string, m core.Method, threshold int) {
 		f, sb := bm.Build()
 		res := core.Decide(f, sb, core.Options{
 			Method: m, SepThreshold: threshold,
-			Timeout: benchTimeout, MaxTrans: 1_000_000,
+			Timeout: benchTimeout, MaxTransClauses: 1_000_000,
 		})
 		if res.Status != core.Valid {
 			b.Fatalf("%s via %v: %v (%v)", name, m, res.Status, res.Err)
@@ -106,11 +107,11 @@ func BenchmarkFig6(b *testing.B) {
 				var status core.Status
 				switch kind {
 				case "SVC":
-					status = svc.Decide(f, sb, benchTimeout).Status
+					status = svc.Decide(context.Background(), f, sb, svc.Options{Timeout: benchTimeout}).Status
 				case "CVC":
-					status = lazy.Decide(f, sb, benchTimeout).Status
+					status = lazy.Decide(context.Background(), f, sb, lazy.Options{Timeout: benchTimeout}).Status
 				default:
-					status = core.Decide(f, sb, core.Options{Timeout: benchTimeout, MaxTrans: 1_000_000}).Status
+					status = core.Decide(f, sb, core.Options{Timeout: benchTimeout, MaxTransClauses: 1_000_000}).Status
 				}
 				if status == core.Timeout {
 					// The baselines time out on most of the suite — that IS
@@ -159,7 +160,7 @@ func BenchmarkEncodeOnly(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				f, sb := bm.Build()
-				res := core.Decide(f, sb, core.Options{Method: m, Timeout: benchTimeout, MaxTrans: 1_000_000})
+				res := core.Decide(f, sb, core.Options{Method: m, Timeout: benchTimeout, MaxTransClauses: 1_000_000})
 				if res.Status != core.Valid {
 					b.Fatalf("%v: %v", m, res.Status)
 				}
@@ -226,7 +227,7 @@ func BenchmarkAblationElimination(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					f, sb := bm.Build()
 					res := core.Decide(f, sb, core.Options{
-						Ackermann: ack, Timeout: benchTimeout, MaxTrans: 2_000_000,
+						Ackermann: ack, Timeout: benchTimeout, MaxTransClauses: 2_000_000,
 					})
 					if res.Status != core.Valid {
 						b.Fatalf("%s ack=%v: %v", name, ack, res.Status)
@@ -248,7 +249,7 @@ func BenchmarkAblationPortfolio(b *testing.B) {
 		b.Run("PORTFOLIO/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				f, sb := bm.Build()
-				res := core.DecidePortfolio(f, sb, core.Options{Timeout: benchTimeout, MaxTrans: 1_000_000})
+				res := core.DecidePortfolioCtx(context.Background(), f, sb, core.Options{Timeout: benchTimeout, MaxTransClauses: 1_000_000})
 				if res.Status != core.Valid {
 					b.Fatalf("%s: %v", name, res.Status)
 				}

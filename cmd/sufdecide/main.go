@@ -377,21 +377,8 @@ func main() {
 		}, stats.mode, *statsOut, *traceFile)
 	}
 
-	var m sufsat.Method
-	switch *method {
-	case "hybrid":
-		m = sufsat.MethodHybrid
-	case "sd":
-		m = sufsat.MethodSD
-	case "eij":
-		m = sufsat.MethodEIJ
-	case "lazy":
-		m = sufsat.MethodLazy
-	case "svc":
-		m = sufsat.MethodSVC
-	case "portfolio":
-		m = sufsat.MethodPortfolio
-	default:
+	m, err := sufsat.ParseMethod(*method)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "sufdecide: unknown method %q\n", *method)
 		os.Exit(2)
 	}

@@ -1,6 +1,7 @@
 package sufsat_test
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -67,7 +68,7 @@ func TestPublicPipelineOnSuite(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res := sufsat.Decide(pub, sufsat.Options{Timeout: 30 * time.Second, MaxTrans: 1 << 20})
+		res := sufsat.Decide(pub, sufsat.Options{Timeout: 30 * time.Second, MaxTransClauses: 1 << 20})
 		if res.Status != sufsat.Valid {
 			t.Fatalf("%s via facade: got %v (%v)", name, res.Status, res.Err)
 		}
@@ -105,7 +106,7 @@ func TestHybridMatchesPortfolioOnSample(t *testing.T) {
 	for _, name := range []string{"dlx-3", "elf-2", "ooo.t-2", "ooo.inv-1"} {
 		bm, _ := bench.ByName(name)
 		f, b := bm.Build()
-		rp := core.DecidePortfolio(f, b, core.Options{Timeout: 30 * time.Second, MaxTrans: 1 << 20})
+		rp := core.DecidePortfolioCtx(context.Background(), f, b, core.Options{Timeout: 30 * time.Second, MaxTransClauses: 1 << 20})
 		if rp.Status != core.Valid {
 			t.Fatalf("%s via portfolio: %v", name, rp.Status)
 		}

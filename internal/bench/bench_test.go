@@ -101,7 +101,7 @@ func TestSmallBenchmarksAreValid(t *testing.T) {
 		}
 		for _, m := range []core.Method{core.Hybrid, core.SD, core.EIJ} {
 			f, b := bm.Build()
-			res := core.Decide(f, b, core.Options{Method: m, Timeout: 30 * time.Second, MaxTrans: 1 << 20})
+			res := core.Decide(f, b, core.Options{Method: m, Timeout: 30 * time.Second, MaxTransClauses: 1 << 20})
 			if res.Status == core.Timeout {
 				continue // acceptable for EIJ on dense formulas
 			}

@@ -15,11 +15,16 @@
 //  4. hand F_trans ∧ ¬F_bvar to the CDCL SAT solver (package sat):
 //     unsatisfiable ⟺ F is valid.
 //
-// The pipeline is a cancellable, budgeted service core: DecideCtx threads a
-// context through every stage (both encoders, transitivity generation and
-// the SAT search poll it), explicit resource budgets bound translation and
-// search, and every failure mode is classified into the Status taxonomy of
-// status.go. When a class's EIJ transitivity generation exhausts its budget
+// The steps are written once: Separate is steps 1–2 (the front half the
+// lazy and SVC baselines share), prepare is steps 1–3, and solve is step 4.
+// DecideCtx is prepare + solve, OpenSession is prepare and
+// Session.DecideAssuming is solve under assumptions.
+//
+// The pipeline is a cancellable, budgeted service core: its context, the
+// only cancellation channel, reaches every stage (both encoders,
+// transitivity generation and the SAT search poll it), explicit resource
+// budgets bound translation and search, and every failure mode is
+// classified into the Status taxonomy of status.go. When a class's EIJ transitivity generation exhausts its budget
 // under the Hybrid method, the class is re-routed to the SD encoder and
 // encoding retried — a robustness-driven extension of SEP_THOLD routing —
 // instead of failing the call.
@@ -31,7 +36,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"sufsat/internal/boolexpr"
@@ -86,9 +90,6 @@ type Options struct {
 	Method Method
 	// SepThreshold is SEP_THOLD; 0 means DefaultSepThreshold.
 	SepThreshold int
-	// MaxTrans caps EIJ transitivity constraints (0 = unlimited).
-	// Deprecated: alias for MaxTransClauses, which wins when both are set.
-	MaxTrans int
 	// MaxTransClauses caps EIJ transitivity-constraint generation
 	// (0 = unlimited). Under the Hybrid method the cap degrades gracefully:
 	// the class whose generation exhausts it is re-routed to the SD encoder
@@ -122,12 +123,10 @@ type Options struct {
 	// in DIMACS format before the SAT search starts, for use with external
 	// solvers.
 	DumpCNF io.Writer
-	// Interrupt, when non-nil and set, cancels the run with a Canceled
-	// status at the next check point. Legacy shim: it is wrapped into the
-	// run's context by a poller; prefer cancelling the DecideCtx context.
-	Interrupt *atomic.Bool
-	// Timeout bounds the total wall-clock time (0 = none). Legacy shim:
-	// applied as a context deadline on the DecideCtx context.
+	// Timeout bounds the total wall-clock time (0 = none). It is applied as
+	// a deadline on the run's context, the one cancellation channel of the
+	// pipeline; a session applies it to OpenSession and to each
+	// DecideAssuming call.
 	Timeout time.Duration
 	// Hook, when non-nil, is called at entry to each named pipeline stage
 	// (see Stages); a non-nil return aborts the run with the error's
@@ -136,18 +135,18 @@ type Options struct {
 	Hook StageHook
 	// Telemetry, when non-nil, records phase-scoped spans for every pipeline
 	// stage, samples per-worker solver progress during the SAT search, and
-	// makes DecideCtx attach a unified obs.Snapshot to the Result on every
-	// exit path. nil disables all of it at the cost of an untaken branch per
-	// stage (the nil-sink fast path).
+	// attaches a unified obs.Snapshot to every Result, on every exit path.
+	// nil disables all of it at the cost of an untaken branch per stage (the
+	// nil-sink fast path).
 	Telemetry *obs.Recorder
 }
 
-// transBudget returns the effective transitivity-clause cap.
-func (o *Options) transBudget() int {
-	if o.MaxTransClauses > 0 {
-		return o.MaxTransClauses
+// sepThreshold returns the effective SEP_THOLD.
+func (o *Options) sepThreshold() int {
+	if o.SepThreshold == 0 {
+		return DefaultSepThreshold
 	}
-	return o.MaxTrans
+	return o.SepThreshold
 }
 
 // Stats aggregates pipeline measurements — the quantities the paper's
@@ -196,171 +195,41 @@ type Result struct {
 }
 
 // Decide checks validity of the SUF formula f (built in b) under a
-// background context. Cancellation is still available through the legacy
-// Options.Interrupt and Options.Timeout fields.
+// background context; Options.Timeout still bounds it. See DecideCtx.
 func Decide(f *suf.BoolExpr, b *suf.Builder, opts Options) *Result {
 	return DecideCtx(context.Background(), f, b, opts)
 }
 
-// wrapLegacy derives the effective run context from the legacy Options
-// fields: Timeout becomes a context deadline and Interrupt a cancellation
-// poller. The returned cancel must be called to release the poller.
-func wrapLegacy(ctx context.Context, opts *Options) (context.Context, context.CancelFunc) {
-	cancel := func() {}
-	if opts.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-	}
-	if opts.Interrupt != nil {
-		ictx, icancel := context.WithCancel(ctx)
-		interrupt := opts.Interrupt
-		go func() {
-			t := time.NewTicker(time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-ictx.Done():
-					return
-				case <-t.C:
-					if interrupt.Load() {
-						icancel()
-						return
-					}
-				}
-			}
-		}()
-		outer := cancel
-		ctx, cancel = ictx, func() { icancel(); outer() }
-	}
-	return ctx, cancel
-}
-
-// DecideCtx checks validity of the SUF formula f (built in b). Cancelling
-// ctx aborts the run with a Canceled status within a bounded number of
-// pipeline steps; a ctx deadline (or Options.Timeout) yields Timeout.
-func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Options) *Result {
-	start := time.Now()
-	res := &Result{}
-	res.Stats.SUFNodes = suf.CountNodes(f)
+// withTimeout derives the run context: ctx (the background context when
+// nil) with Options.Timeout applied as a deadline.
+func withTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ctx, cancel := wrapLegacy(ctx, &opts)
+	if d > 0 {
+		return context.WithTimeout(ctx, d)
+	}
+	return ctx, func() {}
+}
+
+// DecideCtx checks validity of the SUF formula f (built in b): prepare, then
+// solve with no assumptions. Cancelling ctx aborts the run with a Canceled
+// status within a bounded number of pipeline steps; a ctx deadline (or
+// Options.Timeout) yields Timeout. Every exit path carries the telemetry
+// snapshot, so failed runs are diagnosable from whatever was measured before
+// the stop.
+func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Options) *Result {
+	start := time.Now()
+	ctx, cancel := withTimeout(ctx, opts.Timeout)
 	defer cancel()
-	deadline, _ := ctx.Deadline()
-	threshold := opts.SepThreshold
-	if threshold == 0 {
-		threshold = DefaultSepThreshold
-	}
-
-	rec := opts.Telemetry
-
-	// fail classifies err, stamps the timings and returns res. encodeTime
-	// marks failures during (or before the end of) the encoding phase. Every
-	// exit path — this one included — carries the telemetry snapshot, so
-	// failed runs are diagnosable from whatever was measured before the stop.
-	fail := func(err error, encoding bool) *Result {
-		res.Status = StatusOf(err)
-		res.Err = err
-		if encoding {
-			res.Stats.EncodeTime = time.Since(start)
-		}
-		res.Stats.TotalTime = time.Since(start)
-		res.Telemetry = res.snapshot(rec, opts.Method)
-		return res
-	}
-	checkpoint := func(stage string) error { return enterStage(ctx, opts.Hook, stage) }
-
-	// 1. Function and predicate elimination.
-	if err := checkpoint(StageFuncElim); err != nil {
-		return fail(err, true)
-	}
-	feSpan := rec.StartSpan(StageFuncElim).AttrBool("ackermann", opts.Ackermann)
-	var elim *funcelim.Result
-	if opts.Ackermann {
-		elim = funcelim.EliminateAckermann(f, b)
+	res := &Result{}
+	if q, err := prepare(ctx, f, b, opts, &res.Stats); err != nil {
+		res.Status, res.Err = Classify(err)
 	} else {
-		elim = funcelim.Eliminate(f, b)
+		q.solve(ctx, opts, nil, res)
 	}
-	res.Stats.PFraction = elim.PFuncFraction
-	feSpan.AttrFloat("p_func_fraction", elim.PFuncFraction).
-		AttrInt("func_apps", elim.NumApps).AttrInt("p_func_apps", elim.NumPApps)
-	feSpan.End()
-
-	// 2. Separation analysis.
-	if err := checkpoint(StageAnalyze); err != nil {
-		return fail(err, true)
-	}
-	anSpan := rec.StartSpan(StageAnalyze)
-	info, err := sep.Analyze(elim.Formula, b, elim.PConsts)
-	if err != nil {
-		return fail(err, true)
-	}
-	res.Stats.SepPreds = info.NumSepPreds
-	res.Stats.Classes = len(info.Classes)
-	anSpan.AttrInt("sep_preds", info.NumSepPreds).AttrInt("classes", len(info.Classes)).
-		AttrInt("sep_thold", threshold)
-	anSpan.End()
-
-	// 3. Boolean encoding and assertion of the SAT query, with graceful
-	// degradation of budget-blowing EIJ classes to SD (buildQuery).
-	q, err := buildQuery(ctx, info, b, opts, threshold, deadline, &res.Stats, opts.Hook, rec)
-	if err != nil {
-		return fail(err, true)
-	}
-	solver := q.solver
-	solver.Deadline = deadline
-	solver.Interrupt = opts.Interrupt
-	solver.Ctx = ctx
-	solver.ConflictBudget = opts.MaxConflicts
-	solver.Probes = rec.Probes()
-	res.Stats.EncodeTime = time.Since(start)
-
-	if opts.DumpCNF != nil {
-		if err := checkpoint(StageDump); err != nil {
-			return fail(err, false)
-		}
-		dumpSpan := rec.StartSpan(StageDump)
-		if err := solver.WriteDIMACS(opts.DumpCNF); err != nil {
-			return fail(fmt.Errorf("core: DIMACS dump: %w", err), false)
-		}
-		dumpSpan.End()
-	}
-
-	// 4. SAT. While the search runs, the telemetry collector goroutine
-	// samples every worker's lock-free progress slot at the recorder's
-	// sampling interval.
-	if err := checkpoint(StageSAT); err != nil {
-		return fail(err, false)
-	}
-	satSpan := rec.StartSpan(StageSAT).AttrInt("workers", max(opts.SolverWorkers, 1))
-	stopSampling := rec.StartSampling()
-	satStart := time.Now()
-	var satStatus sat.Status
-	if opts.SolverWorkers > 1 {
-		satStatus = solver.SolveParallel(ctx, opts.SolverWorkers)
-		res.Stats.SATParallel = solver.ParallelStats()
-	} else {
-		satStatus = solver.Solve()
-	}
-	stopSampling()
-	switch satStatus {
-	case sat.Unsat:
-		res.Status = Valid
-	case sat.Sat:
-		res.Status = Invalid
-		res.Model = extractModel(solver, q.cnf, info, q.sdEnc, q.eijEnc, elim)
-	default:
-		res.Err = SATStopError(solver.StopReason())
-		res.Status = StatusOf(res.Err)
-	}
-	res.Stats.SAT = solver.Stats()
-	res.Stats.SATTime = time.Since(satStart)
 	res.Stats.TotalTime = time.Since(start)
-	satSpan.AttrStr("verdict", satStatus.String()).
-		AttrInt64("conflicts", res.Stats.SAT.Conflicts).
-		AttrInt64("conflict_clauses", res.Stats.SAT.ConflictClauses)
-	satSpan.End()
-	res.Telemetry = res.snapshot(rec, opts.Method)
+	res.Telemetry = res.snapshot(opts.Telemetry, opts.Method)
 	return res
 }
 
@@ -375,29 +244,102 @@ func enterStage(ctx context.Context, hook StageHook, stage string) error {
 	return ctx.Err()
 }
 
+// Separate is the front half every engine shares, steps 1 and 2 of the
+// pipeline: function and predicate elimination, then separation analysis.
+// Each stage is entered through Options.Hook and a context poll and recorded
+// as one span of Options.Telemetry. On an analysis error the elimination
+// result is still returned.
+func Separate(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Options) (*funcelim.Result, *sep.Info, error) {
+	rec := opts.Telemetry
+	if err := enterStage(ctx, opts.Hook, StageFuncElim); err != nil {
+		return nil, nil, err
+	}
+	feSpan := rec.StartSpan(StageFuncElim).AttrBool("ackermann", opts.Ackermann)
+	var elim *funcelim.Result
+	if opts.Ackermann {
+		elim = funcelim.EliminateAckermann(f, b)
+	} else {
+		elim = funcelim.Eliminate(f, b)
+	}
+	feSpan.AttrFloat("p_func_fraction", elim.PFuncFraction).
+		AttrInt("func_apps", elim.NumApps).AttrInt("p_func_apps", elim.NumPApps)
+	feSpan.End()
+
+	if err := enterStage(ctx, opts.Hook, StageAnalyze); err != nil {
+		return elim, nil, err
+	}
+	anSpan := rec.StartSpan(StageAnalyze)
+	info, err := sep.Analyze(elim.Formula, b, elim.PConsts)
+	if err != nil {
+		return elim, nil, err
+	}
+	anSpan.AttrInt("sep_preds", info.NumSepPreds).AttrInt("classes", len(info.Classes)).
+		AttrInt("sep_thold", opts.sepThreshold())
+	anSpan.End()
+	return elim, info, nil
+}
+
 // query is a validity check's SAT query asserted into its own solver, with
-// the encoders that built it, which model extraction reads back.
+// what model extraction reads back: the encoders that built it, the
+// separation analysis and the function elimination.
 type query struct {
 	solver *sat.Solver
 	cnf    boolexpr.CNF
 	sdEnc  *smalldomain.Encoder
 	eijEnc *perconstraint.Encoder
+	info   *sep.Info
+	elim   *funcelim.Result
 }
 
-// buildQuery is the encode → assert ladder DecideCtx and OpenSession share.
-// Each attempt encodes F_bvar into a fresh Boolean builder and asserts
+// prepare runs the pipeline up to the SAT search, the part DecideCtx and
+// OpenSession share: Separate, the encode → assert ladder of buildQuery,
+// then the DIMACS dump when Options.DumpCNF is set. It fills st as it goes,
+// so a failed run reports what was measured before the stop; EncodeTime
+// covers everything before the dump.
+func prepare(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Options, st *Stats) (query, error) {
+	start := time.Now()
+	st.SUFNodes = suf.CountNodes(f)
+	elim, info, err := Separate(ctx, f, b, opts)
+	if elim != nil {
+		st.PFraction = elim.PFuncFraction
+	}
+	var q query
+	if err == nil {
+		st.SepPreds, st.Classes = info.NumSepPreds, len(info.Classes)
+		q, err = buildQuery(ctx, info, b, opts, st)
+	}
+	st.EncodeTime = time.Since(start)
+	if err != nil {
+		return query{}, err
+	}
+	q.elim = elim
+
+	if opts.DumpCNF != nil {
+		if err := enterStage(ctx, opts.Hook, StageDump); err != nil {
+			return query{}, err
+		}
+		dumpSpan := opts.Telemetry.StartSpan(StageDump)
+		if err := q.solver.WriteDIMACS(opts.DumpCNF); err != nil {
+			return query{}, fmt.Errorf("core: DIMACS dump: %w", err)
+		}
+		dumpSpan.End()
+	}
+	return q, nil
+}
+
+// buildQuery is step 3 of the pipeline, the encode → assert ladder. Each
+// attempt encodes F_bvar into a fresh Boolean builder and asserts
 // F_trans ∧ ¬F_bvar into a fresh solver with AssertQuery. Under Hybrid, a
 // class whose transitivity generation exhausts the budget is demoted to SD
 // and the ladder starts again from a fresh builder and solver, so the
 // clauses the demoted class already streamed leave with the old solver.
 // Each class is demoted at most once, so the loop terminates. The
-// post-encoding budgets are checked last. Only DecideCtx passes a stage hook
-// and a recorder (spans and encoder timing); both may be nil.
-func buildQuery(ctx context.Context, info *sep.Info, b *suf.Builder, opts Options, threshold int,
-	deadline time.Time, st *Stats, hook StageHook, rec *obs.Recorder) (query, error) {
+// post-encoding budgets are checked last.
+func buildQuery(ctx context.Context, info *sep.Info, b *suf.Builder, opts Options, st *Stats) (query, error) {
+	rec := opts.Telemetry
 	var demoted map[*sep.Class]bool
 	for {
-		if err := enterStage(ctx, hook, StageEncode); err != nil {
+		if err := enterStage(ctx, opts.Hook, StageEncode); err != nil {
 			return query{}, err
 		}
 		encSpan := rec.StartSpan(StageEncode)
@@ -408,7 +350,7 @@ func buildQuery(ctx context.Context, info *sep.Info, b *suf.Builder, opts Option
 		if rec != nil {
 			timing = new(encTiming)
 		}
-		bvar, sdEnc, eijEnc, err := encode(ctx, info, b, bb, opts, threshold, deadline, demoted, st, timing)
+		bvar, sdEnc, eijEnc, err := encode(ctx, info, b, bb, opts, demoted, st, timing)
 		if err != nil {
 			return query{}, err
 		}
@@ -422,7 +364,7 @@ func buildQuery(ctx context.Context, info *sep.Info, b *suf.Builder, opts Option
 		}
 		encSpan.End()
 
-		if err := enterStage(ctx, hook, StageTrans); err != nil {
+		if err := enterStage(ctx, opts.Hook, StageTrans); err != nil {
 			return query{}, err
 		}
 		solver := sat.New()
@@ -454,8 +396,53 @@ func buildQuery(ctx context.Context, info *sep.Info, b *suf.Builder, opts Option
 					ErrMemoryBudget, est, opts.MaxMemoryEstimate)
 			}
 		}
-		return query{solver: solver, cnf: cnf, sdEnc: sdEnc, eijEnc: eijEnc}, nil
+		return query{solver: solver, cnf: cnf, sdEnc: sdEnc, eijEnc: eijEnc, info: info}, nil
 	}
+}
+
+// solve is step 4 of the pipeline, shared by DecideCtx and
+// Session.DecideAssuming: it runs the SAT search on q under the assumption
+// literals (none for DecideCtx) and classifies the outcome into res — Valid
+// on Unsat, Invalid with the extracted model on Sat, otherwise the stop's
+// sentinel. The budgets, the stage hook and the recorder come from opts;
+// while the search runs, the recorder's collector goroutine samples every
+// worker's lock-free progress slot.
+func (q *query) solve(ctx context.Context, opts Options, assumps []sat.Lit, res *Result) {
+	if err := enterStage(ctx, opts.Hook, StageSAT); err != nil {
+		res.Status, res.Err = Classify(err)
+		return
+	}
+	rec := opts.Telemetry
+	solver := q.solver
+	solver.Ctx = ctx
+	solver.ConflictBudget = opts.MaxConflicts
+	solver.Probes = rec.Probes()
+	satSpan := rec.StartSpan(StageSAT).AttrInt("workers", max(opts.SolverWorkers, 1))
+	stopSampling := rec.StartSampling()
+	start := time.Now()
+	var satStatus sat.Status
+	if opts.SolverWorkers > 1 {
+		satStatus = solver.SolveAssumeParallel(ctx, opts.SolverWorkers, assumps...)
+		res.Stats.SATParallel = solver.ParallelStats()
+	} else {
+		satStatus = solver.SolveAssume(assumps...)
+	}
+	stopSampling()
+	switch satStatus {
+	case sat.Unsat:
+		res.Status = Valid
+	case sat.Sat:
+		res.Status = Invalid
+		res.Model = extractModel(solver, q.cnf, q.info, q.sdEnc, q.eijEnc, q.elim)
+	default:
+		res.Status, res.Err = Classify(SATStopError(solver.StopReason()))
+	}
+	res.Stats.SAT = solver.Stats()
+	res.Stats.SATTime = time.Since(start)
+	satSpan.AttrStr("verdict", satStatus.String()).
+		AttrInt64("conflicts", res.Stats.SAT.Conflicts).
+		AttrInt64("conflict_clauses", res.Stats.SAT.ConflictClauses)
+	satSpan.End()
 }
 
 // AssertQuery asserts the SAT query of a validity check into solver:
@@ -549,15 +536,13 @@ func timedAtom(f func(*suf.BoolExpr) (*boolexpr.Node, error), acc *int64) func(*
 // go to EIJ, which folds them to constants. Classes in demoted are forced to
 // SD regardless of SepCnt (the transitivity-budget degradation path).
 func encode(ctx context.Context, info *sep.Info, b *suf.Builder, bb *boolexpr.Builder, opts Options,
-	threshold int, deadline time.Time, demoted map[*sep.Class]bool, st *Stats, timing *encTiming) (bvar *boolexpr.Node, sdEnc *smalldomain.Encoder, eij *perconstraint.Encoder, err error) {
+	demoted map[*sep.Class]bool, st *Stats, timing *encTiming) (bvar *boolexpr.Node, sdEnc *smalldomain.Encoder, eij *perconstraint.Encoder, err error) {
 
-	method := opts.Method
+	method, threshold := opts.Method, opts.sepThreshold()
 	sdEnc = smalldomain.NewEncoder(info, b, bb)
 	sdEnc.Ctx = ctx
 	eijEnc := perconstraint.NewEncoder(info, b, bb)
-	eijEnc.MaxTrans = opts.transBudget()
-	eijEnc.Deadline = deadline
-	eijEnc.Interrupt = opts.Interrupt
+	eijEnc.MaxTrans = opts.MaxTransClauses
 	eijEnc.Ctx = ctx
 
 	encodeSD, encodeEIJ := sdEnc.EncodeAtom, eijEnc.EncodeAtom

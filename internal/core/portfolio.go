@@ -8,12 +8,6 @@ import (
 	"sufsat/internal/suf"
 )
 
-// DecidePortfolio races the SD, EIJ and HYBRID encodings under a background
-// context. See DecidePortfolioCtx.
-func DecidePortfolio(f *suf.BoolExpr, b *suf.Builder, opts Options) *Result {
-	return DecidePortfolioCtx(context.Background(), f, b, opts)
-}
-
 // DecidePortfolioCtx runs the SD, EIJ and HYBRID encodings concurrently on
 // copies of the formula and returns the first definitive answer, cancelling
 // the others through a derived context. A portfolio is the classic
@@ -64,7 +58,6 @@ func DecidePortfolioCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, op
 			nf := suf.Clone(f, nb)
 			o := opts
 			o.Method = m
-			o.Interrupt = nil // cancellation flows through ctx
 			o.Telemetry = childRec
 			results <- outcome{m, childRec, DecideCtx(ctx, nf, nb, o)}
 		}()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -17,7 +18,7 @@ func TestPortfolioCatalog(t *testing.T) {
 		if fc.valid {
 			want = Valid
 		}
-		res := DecidePortfolio(f, b, Options{Timeout: 30 * time.Second})
+		res := DecidePortfolioCtx(context.Background(), f, b, Options{Timeout: 30 * time.Second})
 		if res.Status != want {
 			t.Errorf("%s: got %v, want %v", fc.name, res.Status, want)
 		}
@@ -29,7 +30,7 @@ func TestPortfolioAgreesWithHybrid(t *testing.T) {
 	for iter := 0; iter < 60; iter++ {
 		b := suf.NewBuilder()
 		f := randomSUF(rng, b, 3)
-		rp := DecidePortfolio(f, b, Options{Timeout: 30 * time.Second})
+		rp := DecidePortfolioCtx(context.Background(), f, b, Options{Timeout: 30 * time.Second})
 		rh := Decide(f, b, Options{})
 		if rp.Status != rh.Status {
 			t.Fatalf("iter %d: portfolio=%v hybrid=%v\nf = %v", iter, rp.Status, rh.Status, f)
@@ -55,7 +56,7 @@ func TestPortfolioSurvivesEIJBlowup(t *testing.T) {
 	// dense clique to make EIJ translation heavy.
 	f = b.And(f, b.Not(b.And(b.Ge(b.Sym("v0"), b.Sym("v1")), b.And(b.Ge(b.Sym("v1"), b.Sym("v2")), b.Ge(b.Sym("v2"), b.Succ(b.Sym("v0")))))))
 	start := time.Now()
-	res := DecidePortfolio(f, b, Options{Timeout: 60 * time.Second, MaxTrans: 1 << 30})
+	res := DecidePortfolioCtx(context.Background(), f, b, Options{Timeout: 60 * time.Second, MaxTransClauses: 1 << 30})
 	if res.Status == Timeout {
 		t.Fatalf("portfolio timed out: %v", res.Err)
 	}
@@ -77,7 +78,7 @@ func TestPortfolioAllTimeout(t *testing.T) {
 				b.Lt(b.Sym(fmt.Sprintf("w%d", j)), b.Sym(fmt.Sprintf("w%d", i)))))
 		}
 	}
-	res := DecidePortfolio(f, b, Options{Timeout: time.Nanosecond})
+	res := DecidePortfolioCtx(context.Background(), f, b, Options{Timeout: time.Nanosecond})
 	if res.Status != Timeout {
 		t.Fatalf("got %v, want Timeout when every member times out", res.Status)
 	}

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,13 +12,6 @@ import (
 	"sufsat/internal/perconstraint"
 	"sufsat/internal/suf"
 )
-
-// newInterruptAfter returns a legacy interrupt flag that trips after d.
-func newInterruptAfter(d time.Duration) *atomic.Bool {
-	var flag atomic.Bool
-	time.AfterFunc(d, func() { flag.Store(true) })
-	return &flag
-}
 
 // cliqueFormula returns ∧_{i<j} (vi < vj ∨ vj < vi) over n constants — one
 // class with O(n²) separation predicates, the standard EIJ stress shape.
@@ -290,7 +282,7 @@ func TestPortfolioNoGoroutineLeak(t *testing.T) {
 	b := suf.NewBuilder()
 	f := suf.MustParse(catalog[0].src, b)
 	err := faultinject.LeakCheck(func() {
-		if res := DecidePortfolio(f, b, Options{Timeout: 30 * time.Second}); !res.Status.Definitive() {
+		if res := DecidePortfolioCtx(context.Background(), f, b, Options{Timeout: 30 * time.Second}); !res.Status.Definitive() {
 			t.Errorf("portfolio: got %v (%v)", res.Status, res.Err)
 		}
 	}, 5*time.Second)
@@ -326,7 +318,7 @@ func TestPortfolioContainsPanic(t *testing.T) {
 	f := suf.MustParse(catalog[0].src, b)
 	inj := faultinject.New(StageEncode, faultinject.Panic)
 	err := faultinject.LeakCheck(func() {
-		res := DecidePortfolio(f, b, Options{Hook: inj.Stage})
+		res := DecidePortfolioCtx(context.Background(), f, b, Options{Hook: inj.Stage})
 		if res.Status != Error {
 			t.Errorf("got %v, want Error from contained panics", res.Status)
 		}
@@ -337,19 +329,5 @@ func TestPortfolioContainsPanic(t *testing.T) {
 	}, 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestLegacyInterruptStillCancels: the compatibility shim around the old
-// Interrupt flag must keep working and now classifies as Canceled.
-func TestLegacyInterruptStillCancels(t *testing.T) {
-	b := suf.NewBuilder()
-	f := b.Not(pigeonhole(b, 9))
-	var opts Options
-	opts.Method = SD
-	opts.Interrupt = newInterruptAfter(30 * time.Millisecond)
-	res := Decide(f, b, opts)
-	if res.Status != Canceled {
-		t.Fatalf("got %v (%v), want Canceled via legacy Interrupt", res.Status, res.Err)
 	}
 }

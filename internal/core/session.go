@@ -22,9 +22,7 @@ import (
 	"sort"
 	"time"
 
-	"sufsat/internal/funcelim"
 	"sufsat/internal/sat"
-	"sufsat/internal/sep"
 	"sufsat/internal/suf"
 )
 
@@ -36,74 +34,34 @@ const boolSymVarPrefix = "sb!"
 // Session is an open incremental decision session. It is not safe for
 // concurrent use; serialize DecideAssuming calls. Close releases the solver.
 type Session struct {
-	b    *suf.Builder
 	opts Options
 	query
-	info *sep.Info
-	elim *funcelim.Result
 
 	// encodeStats carries the pipeline measurements of the one-time prepare;
 	// every Result this session produces starts from a copy.
 	encodeStats Stats
-	encodeTime  time.Duration
 	queries     int
 	closed      bool
 }
 
-// OpenSession runs the pipeline for f up to (but not including) the SAT
-// search and returns a warm session. The Options govern the encoding and
-// per-query solving (method, SEP_THOLD, budgets, SolverWorkers); Timeout
-// applies per DecideAssuming call, not to the whole session. A pipeline
-// failure (cancellation, budget, analysis error) is returned as the same
-// classified error DecideCtx would put in Result.Err.
+// OpenSession runs prepare, the pipeline DecideCtx runs up to (but not
+// including) the SAT search, and returns a warm session: validity of F[γ]
+// ⟺ UNSAT(F_trans ∧ ¬F_bvar ∧ γ). The Options govern the encoding and
+// per-query solving (method, SEP_THOLD, budgets, SolverWorkers, Hook,
+// Telemetry); Timeout bounds OpenSession and each DecideAssuming call, not
+// the whole session. A pipeline failure (cancellation, budget, analysis
+// error) is returned as the same classified error DecideCtx would put in
+// Result.Err.
 func OpenSession(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, opts Options) (*Session, error) {
-	start := time.Now()
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ctx, cancel := wrapLegacy(ctx, &opts)
+	ctx, cancel := withTimeout(ctx, opts.Timeout)
 	defer cancel()
-	deadline, _ := ctx.Deadline()
-	threshold := opts.SepThreshold
-	if threshold == 0 {
-		threshold = DefaultSepThreshold
-	}
-
-	s := &Session{b: b, opts: opts}
-	s.encodeStats.SUFNodes = suf.CountNodes(f)
-
-	// 1. Function and predicate elimination.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if opts.Ackermann {
-		s.elim = funcelim.EliminateAckermann(f, b)
-	} else {
-		s.elim = funcelim.Eliminate(f, b)
-	}
-	s.encodeStats.PFraction = s.elim.PFuncFraction
-
-	// 2. Separation analysis.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	info, err := sep.Analyze(s.elim.Formula, b, s.elim.PConsts)
+	s := &Session{opts: opts}
+	q, err := prepare(ctx, f, b, opts, &s.encodeStats)
 	if err != nil {
+		_, err = Classify(err)
 		return nil, err
 	}
-	s.info = info
-	s.encodeStats.SepPreds = info.NumSepPreds
-	s.encodeStats.Classes = len(info.Classes)
-
-	// 3. Encoding and CNF through the ladder DecideCtx runs, without hooks
-	// or spans: validity of F[γ] ⟺ UNSAT(F_trans ∧ ¬F_bvar ∧ γ).
-	s.query, err = buildQuery(ctx, info, b, opts, threshold, deadline, &s.encodeStats, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.solver.ConflictBudget = opts.MaxConflicts
-	s.encodeTime = time.Since(start)
-	s.encodeStats.EncodeTime = s.encodeTime
+	s.query = q
 	return s, nil
 }
 
@@ -121,7 +79,7 @@ func (s *Session) HasGuard(name string) bool {
 func (s *Session) Queries() int { return s.queries }
 
 // EncodeTime returns the one-time pipeline cost paid by OpenSession.
-func (s *Session) EncodeTime() time.Duration { return s.encodeTime }
+func (s *Session) EncodeTime() time.Duration { return s.encodeStats.EncodeTime }
 
 // Decide answers the unrestricted query (no assumptions).
 func (s *Session) Decide(ctx context.Context) *Result {
@@ -143,13 +101,8 @@ func (s *Session) DecideAssuming(ctx context.Context, assume map[string]bool) *R
 		res.Err = errors.New("core: session is closed")
 		return res
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opts := s.opts
-	ctx, cancel := wrapLegacy(ctx, &opts)
+	ctx, cancel := withTimeout(ctx, s.opts.Timeout)
 	defer cancel()
-	deadline, _ := ctx.Deadline()
 
 	// Sorted iteration keeps the assumption order (hence the search)
 	// deterministic for a given query.
@@ -171,32 +124,9 @@ func (s *Session) DecideAssuming(ctx context.Context, assume map[string]bool) *R
 	}
 
 	s.queries++
-	solver := s.solver
-	solver.Deadline = deadline
-	solver.Ctx = ctx
-	solver.Interrupt = opts.Interrupt
-	solver.ConflictBudget = opts.MaxConflicts
-
-	var satStatus sat.Status
-	if opts.SolverWorkers > 1 {
-		satStatus = solver.SolveAssumeParallel(ctx, opts.SolverWorkers, assumps...)
-		res.Stats.SATParallel = solver.ParallelStats()
-	} else {
-		satStatus = solver.SolveAssume(assumps...)
-	}
-	switch satStatus {
-	case sat.Unsat:
-		res.Status = Valid
-	case sat.Sat:
-		res.Status = Invalid
-		res.Model = extractModel(solver, s.cnf, s.info, s.sdEnc, s.eijEnc, s.elim)
-	default:
-		res.Err = SATStopError(solver.StopReason())
-		res.Status = StatusOf(res.Err)
-	}
-	res.Stats.SAT = solver.Stats()
-	res.Stats.SATTime = time.Since(start)
+	s.solve(ctx, s.opts, assumps, res)
 	res.Stats.TotalTime = time.Since(start)
+	res.Telemetry = res.snapshot(s.opts.Telemetry, s.opts.Method)
 	return res
 }
 
@@ -205,6 +135,4 @@ func (s *Session) DecideAssuming(ctx context.Context, assume map[string]bool) *R
 func (s *Session) Close() {
 	s.closed = true
 	s.query = query{}
-	s.info = nil
-	s.elim = nil
 }

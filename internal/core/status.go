@@ -22,8 +22,8 @@ const (
 	Invalid
 	// Timeout: the wall-clock deadline was hit.
 	Timeout
-	// Canceled: the caller's context was canceled (or a legacy Interrupt
-	// flag was set) before a verdict was reached.
+	// Canceled: the caller's context was canceled before a verdict was
+	// reached.
 	Canceled
 	// ResourceOut: an explicit resource budget (transitivity clauses, CNF
 	// clauses, SAT conflicts, estimated memory) was exhausted.
@@ -58,11 +58,12 @@ func (s Status) Definitive() bool { return s == Valid || s == Invalid }
 
 // Sentinel errors carried in Result.Err alongside the non-definitive
 // statuses. They classify the failure; wrapping errors may add detail, so
-// test with errors.Is.
+// test with errors.Is. Every Timeout result wraps ErrDeadline and every
+// Canceled result ErrCanceled, whichever stage stopped (see Classify).
 var (
-	// ErrCanceled reports cancellation via context or a legacy Interrupt.
+	// ErrCanceled reports that the run's context was canceled.
 	ErrCanceled = errors.New("core: run canceled")
-	// ErrDeadline reports that the wall-clock deadline was hit.
+	// ErrDeadline reports that the run's context deadline passed.
 	ErrDeadline = errors.New("core: deadline exceeded")
 	// ErrTransBudget reports that MaxTransClauses was exhausted (and, for the
 	// Hybrid method, that per-class SD degradation was disabled or already
@@ -85,31 +86,43 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// StatusOf classifies err into the Status it implies. Unknown errors map to
-// Error.
-func StatusOf(err error) Status {
+// Classify returns the Status err implies (unknown errors map to Error) and
+// the error a Result carries for it. Where err lacks the sentinel of its
+// Status it is wrapped in it — ErrCanceled for Canceled, ErrDeadline for
+// Timeout, ErrTransBudget for an exhausted transitivity budget — so every
+// engine's failures test alike with errors.Is. The original error stays in
+// the chain, so a context error still matches context.Canceled or
+// context.DeadlineExceeded.
+func Classify(err error) (Status, error) {
+	var st Status
+	var sentinel error
 	switch {
 	case err == nil:
-		return Error
+		return Error, nil
 	case errors.Is(err, context.Canceled) || errors.Is(err, ErrCanceled):
-		return Canceled
+		st, sentinel = Canceled, ErrCanceled
 	case errors.Is(err, context.DeadlineExceeded) || errors.Is(err, ErrDeadline) ||
-		errors.Is(err, perconstraint.ErrDeadline) || errors.Is(err, sat.ErrBudget):
-		return Timeout
-	case errors.Is(err, perconstraint.ErrTranslationLimit) || errors.Is(err, ErrTransBudget) ||
-		errors.Is(err, ErrClauseBudget) || errors.Is(err, ErrConflictBudget) ||
+		errors.Is(err, sat.ErrBudget):
+		st, sentinel = Timeout, ErrDeadline
+	case errors.Is(err, perconstraint.ErrTranslationLimit) || errors.Is(err, ErrTransBudget):
+		st, sentinel = ResourceOut, ErrTransBudget
+	case errors.Is(err, ErrClauseBudget) || errors.Is(err, ErrConflictBudget) ||
 		errors.Is(err, ErrMemoryBudget):
-		return ResourceOut
+		return ResourceOut, err
 	default:
-		return Error
+		return Error, err
 	}
+	if !errors.Is(err, sentinel) {
+		err = fmt.Errorf("%w: %w", sentinel, err)
+	}
+	return st, err
 }
 
 // SATStopError maps the solver's stop cause to the sentinel error carried in
 // Result.Err when Solve returns Unknown.
 func SATStopError(c sat.StopCause) error {
 	switch c {
-	case sat.StopCanceled, sat.StopInterrupt:
+	case sat.StopCanceled:
 		return ErrCanceled
 	case sat.StopDeadline:
 		return ErrDeadline

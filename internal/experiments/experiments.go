@@ -109,12 +109,12 @@ func decide(bm bench.Benchmark, m core.Method, cfg Config) Run {
 	f, b := bm.Build()
 	nodes := suf.CountNodes(f)
 	res := core.DecideCtx(cfg.ctx(), f, b, core.Options{
-		Method:        m,
-		SepThreshold:  cfg.Threshold,
-		MaxTrans:      cfg.MaxTrans,
-		Timeout:       cfg.Timeout,
-		SolverWorkers: cfg.Workers,
-		Telemetry:     cfg.Telemetry,
+		Method:          m,
+		SepThreshold:    cfg.Threshold,
+		MaxTransClauses: cfg.MaxTrans,
+		Timeout:         cfg.Timeout,
+		SolverWorkers:   cfg.Workers,
+		Telemetry:       cfg.Telemetry,
 		// The paper's protocol: a blown translation budget aborts the run like
 		// its translation-stage timeout; degradation would quietly rescue
 		// HYBRID and change the figures.
@@ -408,7 +408,7 @@ func Fig6(cfg Config) (vsSVC, vsCVC []Pair) {
 		hy := decide(bm, core.Hybrid, cfg)
 
 		f, b := bm.Build()
-		sv := svc.DecideOpts(cfg.ctx(), f, b, svc.Options{Timeout: cfg.Timeout, Telemetry: cfg.Telemetry})
+		sv := svc.Decide(cfg.ctx(), f, b, svc.Options{Timeout: cfg.Timeout, Telemetry: cfg.Telemetry})
 		svSec := sv.Stats.Total.Seconds()
 		if !sv.Status.Definitive() {
 			svSec = cfg.Timeout.Seconds()
@@ -417,7 +417,7 @@ func Fig6(cfg Config) (vsSVC, vsCVC []Pair) {
 		}
 
 		f2, b2 := bm.Build()
-		lz := lazy.DecideOpts(cfg.ctx(), f2, b2, lazy.Options{Timeout: cfg.Timeout, Workers: cfg.Workers, Telemetry: cfg.Telemetry})
+		lz := lazy.Decide(cfg.ctx(), f2, b2, lazy.Options{Timeout: cfg.Timeout, Workers: cfg.Workers, Telemetry: cfg.Telemetry})
 		lzSec := lz.Stats.Total.Seconds()
 		if !lz.Status.Definitive() {
 			lzSec = cfg.Timeout.Seconds()

@@ -11,6 +11,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -133,29 +135,60 @@ func (i *Injector) Fired() int {
 	return i.fired
 }
 
-// LeakCheck runs f and verifies the process goroutine count returns to its
-// pre-call level within grace (a zero grace means 3s). Workers that outlive
-// their run — portfolio losers after the winner returns, pollers after
-// cancellation — are given that long to notice and exit; if they do not, the
-// returned error carries a full goroutine dump.
+// LeakCheck runs f and verifies that every goroutine started while it ran
+// has exited within grace (a zero grace means 3s). It compares goroutine
+// IDs from full stack dumps taken before and after, not counts, so a
+// goroutine that existed before f and exits while f runs cannot hide one
+// that f leaks. Workers that outlive their run — portfolio losers after the
+// winner returns, pollers after cancellation — are given the grace to
+// notice and exit; if they do not, the returned error carries the stacks of
+// the new goroutines still alive.
 func LeakCheck(f func(), grace time.Duration) error {
 	if grace <= 0 {
 		grace = 3 * time.Second
 	}
-	before := runtime.NumGoroutine()
+	before := goroutines()
 	f()
 	deadline := time.Now().Add(grace)
 	for {
-		n := runtime.NumGoroutine()
-		if n <= before {
+		var leaked []string
+		for id, stack := range goroutines() {
+			if _, ok := before[id]; !ok {
+				leaked = append(leaked, stack)
+			}
+		}
+		if len(leaked) == 0 {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			m := runtime.Stack(buf, true)
-			return fmt.Errorf("faultinject: goroutine leak: %d before, %d after %v grace\n%s",
-				before, n, grace, buf[:m])
+			sort.Strings(leaked)
+			return fmt.Errorf("faultinject: goroutine leak: %d goroutines started during the run still alive after %v grace\n%s",
+				len(leaked), grace, strings.Join(leaked, "\n\n"))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// goroutines returns the stack of every live goroutine keyed by its ID,
+// parsed from a full runtime.Stack dump, whose blocks each start with
+// "goroutine <id> [<state>]:". Goroutine IDs are never reused.
+func goroutines() map[string]string {
+	buf := make([]byte, 64<<10)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	out := make(map[string]string)
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if rest, ok := strings.CutPrefix(g, "goroutine "); ok {
+			if id, _, ok := strings.Cut(rest, " "); ok {
+				out[id] = g
+			}
+		}
+	}
+	return out
 }

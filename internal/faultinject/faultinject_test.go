@@ -3,6 +3,7 @@ package faultinject
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 )
@@ -82,5 +83,29 @@ func TestLeakCheckCatchesStraggler(t *testing.T) {
 	}, 50*time.Millisecond)
 	if err == nil {
 		t.Fatal("leaked goroutine not detected")
+	}
+}
+
+// TestLeakCheckSeesMaskedLeak: a goroutine that existed before the run and
+// exits during it must not hide one the run leaks, as it would if only
+// goroutine counts were compared.
+func TestLeakCheckSeesMaskedLeak(t *testing.T) {
+	exit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		<-exit
+		close(exited)
+	}()
+	release := make(chan struct{})
+	defer close(release)
+	err := LeakCheck(func() {
+		go func() { <-release }()
+		close(exit)
+		<-exited
+	}, 50*time.Millisecond)
+	if err == nil {
+		t.Fatal("leak masked by an exiting goroutine not detected")
+	}
+	if !strings.Contains(err.Error(), "TestLeakCheckSeesMaskedLeak") {
+		t.Errorf("error lacks the leaked goroutine's stack:\n%v", err)
 	}
 }

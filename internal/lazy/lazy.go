@@ -18,11 +18,9 @@ import (
 	"sufsat/internal/boolexpr"
 	"sufsat/internal/core"
 	"sufsat/internal/difflogic"
-	"sufsat/internal/funcelim"
 	"sufsat/internal/obs"
 	"sufsat/internal/perconstraint"
 	"sufsat/internal/sat"
-	"sufsat/internal/sep"
 	"sufsat/internal/suf"
 )
 
@@ -54,12 +52,14 @@ type Result struct {
 	Telemetry *obs.Snapshot
 }
 
-// Options configures DecideOpts.
+// Options configures Decide.
 type Options struct {
 	// Timeout bounds total wall-clock time (0 = none).
 	Timeout time.Duration
 	// Workers is the parallel clause-sharing portfolio size for each SAT
-	// query of the refinement loop (≤ 1 = sequential).
+	// query of the refinement loop (≤ 1 = sequential). The master solver
+	// keeps the theory conflict clauses and absorbs unit facts derived by
+	// the workers, so learning accumulates across iterations either way.
 	Workers int
 	// Telemetry, when non-nil, records phase spans (funcelim, analyze,
 	// abstract, refine), samples worker progress during the refinement
@@ -68,30 +68,11 @@ type Options struct {
 	Telemetry *obs.Recorder
 }
 
-// Decide checks validity of the SUF formula f with the lazy procedure under
-// a background context. timeout 0 means no deadline.
-func Decide(f *suf.BoolExpr, b *suf.Builder, timeout time.Duration) *Result {
-	return DecideCtx(context.Background(), f, b, timeout)
-}
-
-// DecideCtx checks validity of the SUF formula f with the lazy procedure.
-// Cancelling ctx aborts the run with a Canceled status at the next SAT poll
-// point or refinement-loop boundary; timeout 0 means no extra deadline.
-func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, timeout time.Duration) *Result {
-	return DecideOpts(ctx, f, b, Options{Timeout: timeout})
-}
-
-// DecideCtxWorkers is DecideCtx with each SAT query of the refinement loop
-// solved by a parallel clause-sharing portfolio of the given number of
-// workers (≤ 1 = sequential). The master solver keeps the theory conflict
-// clauses and absorbs unit facts derived by the workers, so learning
-// accumulates across iterations either way.
-func DecideCtxWorkers(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, timeout time.Duration, workers int) *Result {
-	return DecideOpts(ctx, f, b, Options{Timeout: timeout, Workers: workers})
-}
-
-// DecideOpts is the full-option entry point of the lazy procedure.
-func DecideOpts(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, o Options) *Result {
+// Decide checks validity of the SUF formula f with the lazy procedure.
+// Cancelling ctx aborts the run with a Canceled status at the next poll
+// point (a stage entry, a SAT poll or a refinement-loop boundary); a ctx
+// deadline or Options.Timeout yields Timeout.
+func Decide(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, o Options) *Result {
 	start := time.Now()
 	rec := o.Telemetry
 	workers := o.Workers
@@ -104,7 +85,6 @@ func DecideOpts(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, o Options)
 		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
 		defer cancel()
 	}
-	deadline, _ := ctx.Deadline()
 
 	// emit stamps the unified snapshot onto a result on its way out; every
 	// exit path of this function goes through it.
@@ -113,15 +93,10 @@ func DecideOpts(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, o Options)
 		return r
 	}
 
-	feSpan := rec.StartSpan("funcelim")
-	elim := funcelim.Eliminate(f, b)
-	feSpan.AttrFloat("p_func_fraction", elim.PFuncFraction).End()
-	anSpan := rec.StartSpan("analyze")
-	info, err := sep.Analyze(elim.Formula, b, elim.PConsts)
+	elim, info, err := core.Separate(ctx, f, b, core.Options{Telemetry: rec})
 	if err != nil {
 		return emit(fail(res, err, start))
 	}
-	anSpan.AttrInt("sep_preds", info.NumSepPreds).End()
 
 	// Boolean abstraction: per-constraint atom encoding without F_trans.
 	absSpan := rec.StartSpan("abstract")
@@ -135,7 +110,6 @@ func DecideOpts(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, o Options)
 	}
 
 	solver := sat.New()
-	solver.Deadline = deadline
 	solver.Ctx = ctx
 	solver.Probes = rec.Probes()
 	cnf := boolexpr.AssertTrue(bb.Not(bvar), solver) // refute ¬F
@@ -174,9 +148,6 @@ func DecideOpts(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, o Options)
 	for {
 		if err := ctx.Err(); err != nil {
 			return done(fail(res, fmt.Errorf("lazy: %w", err), start))
-		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
-			return done(fail(res, fmt.Errorf("lazy: %w", core.ErrDeadline), start))
 		}
 		res.Stats.Iterations++
 		var st sat.Status
@@ -252,8 +223,7 @@ func finish(res *Result, solver *sat.Solver, start time.Time) *Result {
 }
 
 func fail(res *Result, err error, start time.Time) *Result {
-	res.Status = core.StatusOf(err)
-	res.Err = err
+	res.Status, res.Err = core.Classify(err)
 	res.Stats.Total = time.Since(start)
 	return res
 }

@@ -1,6 +1,7 @@
 package lazy
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -32,7 +33,7 @@ func TestCatalog(t *testing.T) {
 		t.Run(fc.name, func(t *testing.T) {
 			b := suf.NewBuilder()
 			f := suf.MustParse(fc.src, b)
-			res := Decide(f, b, 0)
+			res := Decide(context.Background(), f, b, Options{})
 			if res.Err != nil {
 				t.Fatalf("error: %v", res.Err)
 			}
@@ -93,7 +94,7 @@ func TestAgreesWithEagerMethods(t *testing.T) {
 	for iter := 0; iter < 100; iter++ {
 		b := suf.NewBuilder()
 		f := randomSUF(rng, b, 3)
-		rl := Decide(f, b, 0)
+		rl := Decide(context.Background(), f, b, Options{})
 		rh := core.Decide(f, b, core.Options{Method: core.Hybrid})
 		if rl.Err != nil || rh.Err != nil {
 			t.Fatalf("iter %d: errors %v / %v", iter, rl.Err, rh.Err)
@@ -108,7 +109,7 @@ func TestIterationsCounted(t *testing.T) {
 	// The queue-cycle formula needs at least one theory refutation round.
 	b := suf.NewBuilder()
 	f := suf.MustParse("(not (and (>= x y) (>= y z) (>= z (succ x))))", b)
-	res := Decide(f, b, 0)
+	res := Decide(context.Background(), f, b, Options{})
 	if res.Status != core.Valid {
 		t.Fatalf("got %v", res.Status)
 	}
@@ -130,7 +131,7 @@ func TestDeadline(t *testing.T) {
 				b.Lt(b.Sym(fmt.Sprintf("v%d", j)), b.Sym(fmt.Sprintf("v%d", i)))))
 		}
 	}
-	res := Decide(f, b, time.Nanosecond)
+	res := Decide(context.Background(), f, b, Options{Timeout: time.Nanosecond})
 	if res.Status != core.Timeout {
 		t.Fatalf("got %v, want Timeout", res.Status)
 	}
@@ -154,7 +155,7 @@ func TestDiamondIterationsGrowExponentially(t *testing.T) {
 			chain = b.And(chain, b.Or(left, right))
 		}
 		f := b.Implies(chain, b.Le(d(0), d(n)))
-		res := Decide(f, b, 0)
+		res := Decide(context.Background(), f, b, Options{})
 		if res.Status != core.Valid {
 			t.Fatalf("n=%d: got %v", n, res.Status)
 		}
@@ -175,7 +176,7 @@ func TestTheoryConflictClausesAreMinimalCycles(t *testing.T) {
 	// stays tiny.
 	b := suf.NewBuilder()
 	f := suf.MustParse("(not (and (>= x y) (>= y z) (>= z (succ x))))", b)
-	res := Decide(f, b, 0)
+	res := Decide(context.Background(), f, b, Options{})
 	if res.Status != core.Valid {
 		t.Fatalf("got %v", res.Status)
 	}

@@ -1,6 +1,7 @@
 package lazy_test
 
 import (
+	"context"
 	"testing"
 
 	"sufsat/internal/bench"
@@ -18,7 +19,7 @@ import (
 func TestLazyModelFalsifiesFormula(t *testing.T) {
 	for _, bm := range bench.InvalidVariants() {
 		f, b := bm.Build()
-		res := lazy.Decide(f, b, 0)
+		res := lazy.Decide(context.Background(), f, b, lazy.Options{})
 		if res.Status != core.Invalid {
 			t.Fatalf("%s: got %v want Invalid (err %v)", bm.Name, res.Status, res.Err)
 		}
@@ -39,7 +40,7 @@ func TestLazyModelHandConstructed(t *testing.T) {
 		b := suf.NewBuilder()
 		x, y := b.Sym("x"), b.Sym("y")
 		f := b.Lt(x, y) // not valid: any model must have x >= y
-		res := lazy.Decide(f, b, 0)
+		res := lazy.Decide(context.Background(), f, b, lazy.Options{})
 		if res.Status != core.Invalid || res.Model == nil {
 			t.Fatalf("got %v model=%v", res.Status, res.Model)
 		}
@@ -50,7 +51,7 @@ func TestLazyModelHandConstructed(t *testing.T) {
 	t.Run("bool-const", func(t *testing.T) {
 		b := suf.NewBuilder()
 		f := b.Or(b.BoolSym("p"), b.Lt(b.Sym("x"), b.Sym("y")))
-		res := lazy.Decide(f, b, 0)
+		res := lazy.Decide(context.Background(), f, b, lazy.Options{})
 		if res.Status != core.Invalid || res.Model == nil {
 			t.Fatalf("got %v model=%v", res.Status, res.Model)
 		}
@@ -63,7 +64,7 @@ func TestLazyModelHandConstructed(t *testing.T) {
 		x, y := b.Sym("x"), b.Sym("y")
 		// f(x) = f(y) is not valid for distinct x, y.
 		f := b.Eq(b.Fn("f", x), b.Fn("f", y))
-		res := lazy.Decide(f, b, 0)
+		res := lazy.Decide(context.Background(), f, b, lazy.Options{})
 		if res.Status != core.Invalid || res.Model == nil {
 			t.Fatalf("got %v model=%v", res.Status, res.Model)
 		}
@@ -76,7 +77,7 @@ func TestLazyModelHandConstructed(t *testing.T) {
 		x, y := b.Sym("x"), b.Sym("y")
 		// x < succ(succ(y)) is not valid; a model needs x >= y+2.
 		f := b.Lt(x, b.Succ(b.Succ(y)))
-		res := lazy.Decide(f, b, 0)
+		res := lazy.Decide(context.Background(), f, b, lazy.Options{})
 		if res.Status != core.Invalid || res.Model == nil {
 			t.Fatalf("got %v model=%v", res.Status, res.Model)
 		}

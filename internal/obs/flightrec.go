@@ -268,15 +268,17 @@ type FlightDump struct {
 	Events      []FlightEvent `json:"events"`
 }
 
-// Dump builds the dump structure.
+// Dump builds the dump structure. It copies the events first and then
+// derives both counts from one load of the ticket counter, so an event
+// recorded while the dump is taken can raise the counts but never appear
+// without being counted: every event's seq is at most Recorded.
 func (f *FlightRecorder) Dump() *FlightDump {
-	return &FlightDump{
-		DumpedAtNS:  time.Now().UnixNano(),
-		Cap:         f.Cap(),
-		Recorded:    f.Recorded(),
-		Overwritten: f.Overwritten(),
-		Events:      f.Events(),
+	d := &FlightDump{DumpedAtNS: time.Now().UnixNano(), Cap: f.Cap(), Events: f.Events()}
+	if f != nil {
+		d.Recorded = int64(f.next.Load())
+		d.Overwritten = max(d.Recorded-int64(len(f.slots)), 0)
 	}
+	return d
 }
 
 // WriteJSON writes the dump as indented JSON (the panic/SIGQUIT dump and the

@@ -145,6 +145,49 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	}
 }
 
+// TestFlightDumpCountsCoverEvents takes dumps while two writers record into
+// a small ring: no dump may hold an event its counts leave out, the
+// invariant tracecheck -flightrec enforces.
+func TestFlightDumpCountsCoverEvents(t *testing.T) {
+	fr := NewFlightRecorder(64)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					fr.Record(FlightSpan, "writer", "sat", 1, 1)
+				}
+			}
+		}()
+	}
+	bad := 0
+	var first *FlightDump
+	for i := 0; i < 2000; i++ {
+		d := fr.Dump()
+		var maxSeq uint64
+		for _, ev := range d.Events {
+			maxSeq = max(maxSeq, ev.Seq)
+		}
+		if int64(maxSeq) > d.Recorded || int64(len(d.Events)) > d.Recorded {
+			if bad++; first == nil {
+				first = d
+			}
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if bad > 0 {
+		t.Fatalf("%d of 2000 dumps hold an event past their count (recorded=%d, %d events)",
+			bad, first.Recorded, len(first.Events))
+	}
+}
+
 // TestFlightDumpJSON round-trips a dump through its JSON schema.
 func TestFlightDumpJSON(t *testing.T) {
 	fr := NewFlightRecorder(16)

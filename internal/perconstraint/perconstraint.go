@@ -32,8 +32,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync/atomic"
-	"time"
 
 	"sufsat/internal/boolexpr"
 	"sufsat/internal/difflogic"
@@ -45,11 +43,6 @@ import (
 // ErrTranslationLimit reports that transitivity-constraint generation
 // exceeded the configured cap (the EIJ blow-up).
 var ErrTranslationLimit = errors.New("perconstraint: transitivity constraint limit exceeded")
-
-// ErrDeadline reports that transitivity-constraint generation ran past the
-// configured deadline — the paper's "fails to go beyond the formula
-// translation stage".
-var ErrDeadline = errors.New("perconstraint: translation deadline exceeded")
 
 // BudgetError reports which class's transitivity generation exhausted the
 // MaxTrans cap, so a hybrid caller can degrade that class to the SD encoder
@@ -90,8 +83,8 @@ type predKey struct {
 }
 
 // Encoder encodes separation atoms per-constraint. Atom encodings are
-// collected; EachTransClause (or TransSet and its adapters TransClauseList
-// and TransConstraints, which collect its stream) must be called afterwards
+// collected; EachTransClause (or TransSet and its adapter TransClauseList,
+// which collect its stream) must be called afterwards
 // to obtain F_trans for every predicate variable handed out.
 type Encoder struct {
 	bb   *boolexpr.Builder
@@ -100,12 +93,6 @@ type Encoder struct {
 	// MaxTrans caps the number of generated transitivity constraints
 	// (0 = unlimited).
 	MaxTrans int
-	// Deadline bounds the wall-clock time of transitivity generation
-	// (zero = none).
-	Deadline time.Time
-	// Interrupt, when non-nil and set, aborts transitivity generation with
-	// ErrDeadline at the next check point (legacy cancellation; prefer Ctx).
-	Interrupt *atomic.Bool
 	// Ctx, when non-nil, is polled during atom encoding and transitivity
 	// generation; once done, both abort with the context's error.
 	Ctx context.Context
@@ -250,14 +237,6 @@ type TransLit struct {
 	Neg bool
 }
 
-// Node renders the literal as a boolexpr node.
-func (l TransLit) Node(bb *boolexpr.Builder) *boolexpr.Node {
-	if l.Neg {
-		return bb.Not(l.Var)
-	}
-	return l.Var
-}
-
 // Not returns the complement literal.
 func (l TransLit) Not() TransLit { return TransLit{l.Var, !l.Neg} }
 
@@ -329,24 +308,6 @@ func (t *TransSet) Clause(i int) []int32 {
 // Lit decodes a literal code.
 func (t *TransSet) Lit(code int32) TransLit {
 	return TransLit{Var: t.Vars[code>>1], Neg: code&1 == 1}
-}
-
-// TransConstraints generates F_trans as a single Boolean formula. Prefer
-// EachTransClause plus direct clause assertion for large encodings.
-func (e *Encoder) TransConstraints() (*boolexpr.Node, error) {
-	ts, err := e.TransSet()
-	if err != nil {
-		return nil, err
-	}
-	out := e.bb.True()
-	for i := 0; i < ts.Len(); i++ {
-		d := e.bb.False()
-		for _, code := range ts.Clause(i) {
-			d = e.bb.Or(d, ts.Lit(code).Node(e.bb))
-		}
-		out = e.bb.And(out, d)
-	}
-	return out, nil
 }
 
 // TransClauseList is TransSet with every clause decoded to a TransClause.
@@ -701,18 +662,8 @@ func (g *transGen) emit(lits []int32) error {
 	if err := g.fn(lits, g.vars); err != nil {
 		return err
 	}
-	if g.nCons%256 == 0 {
-		if e.Ctx != nil {
-			if err := e.Ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if !e.Deadline.IsZero() && time.Now().After(e.Deadline) {
-			return ErrDeadline
-		}
-		if e.Interrupt != nil && e.Interrupt.Load() {
-			return ErrDeadline
-		}
+	if g.nCons%256 == 0 && e.Ctx != nil {
+		return e.Ctx.Err()
 	}
 	return nil
 }
@@ -815,31 +766,6 @@ func (e *Encoder) derivedSeen(x, y string, c int) (struct{}, bool) {
 	}
 	e.derived[k] = true
 	return struct{}{}, false
-}
-
-// Result is a standalone EIJ encoding. The encoded formula is
-// Trans ⟹ Bvar; its satisfiability-preserving form is Trans ∧ Bvar, and a
-// validity check refutes Trans ∧ ¬Bvar.
-type Result struct {
-	Bvar  *boolexpr.Node
-	Trans *boolexpr.Node
-	Stats Stats
-}
-
-// Encode runs the full standalone EIJ encoding of the analyzed formula.
-// maxTrans caps transitivity generation (0 = unlimited).
-func Encode(info *sep.Info, sb *suf.Builder, bb *boolexpr.Builder, maxTrans int) (*Result, error) {
-	e := NewEncoder(info, sb, bb)
-	e.MaxTrans = maxTrans
-	fbvar, err := e.walker.Encode(info.Formula)
-	if err != nil {
-		return nil, err
-	}
-	ftrans, err := e.TransConstraints()
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Bvar: fbvar, Trans: ftrans, Stats: e.stats}, nil
 }
 
 func abs(x int) int {

@@ -13,6 +13,42 @@ import (
 	"sufsat/internal/suf"
 )
 
+// encodeEIJ encodes the analyzed formula through an Encoder capped at
+// maxTrans transitivity constraints (0 = none) and returns F_bvar, F_trans
+// as one Boolean formula, and the encoder.
+func encodeEIJ(info *sep.Info, b *suf.Builder, bb *boolexpr.Builder, maxTrans int) (bvar, trans *boolexpr.Node, e *Encoder, err error) {
+	e = NewEncoder(info, b, bb)
+	e.MaxTrans = maxTrans
+	if bvar, err = e.Walker().Encode(info.Formula); err != nil {
+		return nil, nil, nil, err
+	}
+	trans, err = transFormula(e, bb)
+	return bvar, trans, e, err
+}
+
+// transFormula is F_trans as one Boolean formula: the conjunction of the
+// clauses of e.TransSet.
+func transFormula(e *Encoder, bb *boolexpr.Builder) (*boolexpr.Node, error) {
+	ts, err := e.TransSet()
+	if err != nil {
+		return nil, err
+	}
+	out := bb.True()
+	for i := 0; i < ts.Len(); i++ {
+		d := bb.False()
+		for _, code := range ts.Clause(i) {
+			l := ts.Lit(code)
+			if l.Neg {
+				d = bb.Or(d, bb.Not(l.Var))
+			} else {
+				d = bb.Or(d, l.Var)
+			}
+		}
+		out = bb.And(out, d)
+	}
+	return out, nil
+}
+
 // eijSatisfiable encodes f with EIJ and reports whether Trans ∧ Bvar is SAT —
 // i.e. whether f is satisfiable.
 func eijSatisfiable(t *testing.T, f *suf.BoolExpr, b *suf.Builder) bool {
@@ -22,12 +58,12 @@ func eijSatisfiable(t *testing.T, f *suf.BoolExpr, b *suf.Builder) bool {
 		t.Fatal(err)
 	}
 	bb := boolexpr.NewBuilder()
-	res, err := Encode(info, b, bb, 0)
+	bvar, trans, _, err := encodeEIJ(info, b, bb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := sat.New()
-	boolexpr.AssertTrue(bb.And(res.Trans, res.Bvar), s)
+	boolexpr.AssertTrue(bb.And(trans, bvar), s)
 	switch s.Solve() {
 	case sat.Sat:
 		return true
@@ -138,15 +174,15 @@ func TestVpPredicatesCollapse(t *testing.T) {
 		t.Fatal(err)
 	}
 	bb := boolexpr.NewBuilder()
-	res, err := Encode(info, b, bb, 0)
+	bvar, _, e, err := encodeEIJ(info, b, bb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Bvar != bb.False() {
-		t.Fatalf("vp = x must encode to false under maximal diversity, got %v", res.Bvar)
+	if bvar != bb.False() {
+		t.Fatalf("vp = x must encode to false under maximal diversity, got %v", bvar)
 	}
-	if res.Stats.PredVars != 0 {
-		t.Fatalf("no predicate variables expected, got %d", res.Stats.PredVars)
+	if e.Stats().PredVars != 0 {
+		t.Fatalf("no predicate variables expected, got %d", e.Stats().PredVars)
 	}
 }
 
@@ -158,7 +194,7 @@ func TestVpUnderLtIsError(t *testing.T) {
 		t.Fatal(err)
 	}
 	bb := boolexpr.NewBuilder()
-	if _, err := Encode(info, b, bb, 0); err == nil {
+	if _, _, _, err := encodeEIJ(info, b, bb, 0); err == nil {
 		t.Fatal("expected error for V_p constant under <")
 	}
 }
@@ -182,7 +218,7 @@ func TestTranslationLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	bb := boolexpr.NewBuilder()
-	_, err = Encode(info, b, bb, 3)
+	_, _, _, err = encodeEIJ(info, b, bb, 3)
 	if !errors.Is(err, ErrTranslationLimit) {
 		t.Fatalf("got %v, want ErrTranslationLimit", err)
 	}
@@ -293,14 +329,14 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	bb := boolexpr.NewBuilder()
-	res, err := Encode(info, b, bb, 0)
+	_, _, e, err := encodeEIJ(info, b, bb, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.PredVars != 3 {
-		t.Errorf("PredVars = %d, want 3", res.Stats.PredVars)
+	if e.Stats().PredVars != 3 {
+		t.Errorf("PredVars = %d, want 3", e.Stats().PredVars)
 	}
-	if res.Stats.TransConstraints == 0 {
+	if e.Stats().TransConstraints == 0 {
 		t.Errorf("expected transitivity constraints for a 3-cycle")
 	}
 }
@@ -373,7 +409,7 @@ func TestOrderHeuristicsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := e.TransConstraints()
+			tr, err := transFormula(e, bb)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"time"
 
 	"sufsat/internal/sep"
 )
@@ -161,12 +160,6 @@ func (e *Encoder) refTransForClass(cl *sep.Class, preds []predKey, budget *int) 
 				if err := e.Ctx.Err(); err != nil {
 					return err
 				}
-			}
-			if !e.Deadline.IsZero() && time.Now().After(e.Deadline) {
-				return ErrDeadline
-			}
-			if e.Interrupt != nil && e.Interrupt.Load() {
-				return ErrDeadline
 			}
 		}
 		return nil

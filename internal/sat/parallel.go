@@ -159,8 +159,6 @@ func (s *Solver) clone() *Solver {
 		stats: s.stats,
 
 		ConflictBudget: s.ConflictBudget,
-		Deadline:       s.Deadline,
-		Interrupt:      s.Interrupt,
 	}
 	for i := range s.watches {
 		c.watches[i] = append([]watcher(nil), s.watches[i]...)
@@ -272,8 +270,8 @@ func (s *Solver) ParallelStats() ParallelStats { return s.parStats }
 // assignment on Sat, Stats reflects the winning (or first) worker, and the
 // per-worker breakdown is available via ParallelStats. Level-0 unit facts
 // derived by any worker are absorbed into this solver, strengthening later
-// incremental Solve calls. Budgets (ConflictBudget, Deadline) apply to each
-// worker individually.
+// incremental Solve calls. ConflictBudget applies to each worker individually,
+// and a deadline on ctx or on Ctx stops the search with StopDeadline.
 func (s *Solver) SolveParallel(ctx context.Context, workers int) Status {
 	return s.SolveAssumeParallel(ctx, workers)
 }
@@ -413,9 +411,14 @@ func (s *Solver) SolveAssumeParallel(ctx context.Context, workers int, assumps .
 		s.stop = StopCanceled
 		for _, w := range ws {
 			switch w.stop {
-			case StopDeadline, StopConflictBudget, StopInterrupt:
+			case StopDeadline, StopConflictBudget:
 				s.stop = w.stop
 			}
+		}
+		if s.stop == StopCanceled {
+			// Workers see a deadline on Ctx only as the cancellation it
+			// relays to runCtx; read the cause from Ctx itself.
+			s.checkLimits()
 		}
 	}
 	s.parStats.WinnerID = winner

@@ -178,11 +178,28 @@ func TestSolveParallelCancelBeforeStart(t *testing.T) {
 	}
 }
 
-// TestSolveParallelDeadline propagates a solver deadline to every worker.
+// TestSolveParallelDeadline propagates a context deadline to every worker.
 func TestSolveParallelDeadline(t *testing.T) {
 	s := New()
 	pigeonhole(s, 11, 10)
-	s.Deadline = time.Now().Add(20 * time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if st := s.SolveParallel(ctx, 3); st != Unknown {
+		t.Fatalf("SolveParallel past deadline = %v, want Unknown", st)
+	}
+	if s.StopReason() != StopDeadline {
+		t.Fatalf("StopReason = %v, want %v", s.StopReason(), StopDeadline)
+	}
+}
+
+// TestSolveParallelSolverCtxDeadline: a deadline on the solver's own Ctx,
+// not on SolveParallel's argument, is still reported as StopDeadline.
+func TestSolveParallelSolverCtxDeadline(t *testing.T) {
+	s := New()
+	pigeonhole(s, 11, 10)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	s.Ctx = ctx
 	if st := s.SolveParallel(context.Background(), 3); st != Unknown {
 		t.Fatalf("SolveParallel past deadline = %v, want Unknown", st)
 	}

@@ -18,8 +18,6 @@ package sat
 import (
 	"context"
 	"errors"
-	"sync/atomic"
-	"time"
 
 	"sufsat/internal/obs"
 )
@@ -128,10 +126,8 @@ const (
 	StopNone StopCause = iota
 	// StopConflictBudget: ConflictBudget was exhausted.
 	StopConflictBudget
-	// StopDeadline: the Deadline (or a context deadline) passed.
+	// StopDeadline: the context's deadline passed.
 	StopDeadline
-	// StopInterrupt: the legacy Interrupt flag was set.
-	StopInterrupt
 	// StopCanceled: the context was canceled.
 	StopCanceled
 )
@@ -144,8 +140,6 @@ func (c StopCause) String() string {
 		return "conflict-budget"
 	case StopDeadline:
 		return "deadline"
-	case StopInterrupt:
-		return "interrupt"
 	case StopCanceled:
 		return "canceled"
 	}
@@ -226,14 +220,10 @@ type Solver struct {
 	imported int64
 
 	// Budget controls.
-	ConflictBudget int64     // ≤0 means unlimited
-	Deadline       time.Time // zero means none
-	// Interrupt, when non-nil and set, makes Solve return Unknown at the
-	// next conflict boundary (legacy cancellation; prefer Ctx).
-	Interrupt *atomic.Bool
+	ConflictBudget int64 // ≤0 means unlimited
 	// Ctx, when non-nil, is polled during search; once done, Solve returns
-	// Unknown with StopCanceled or StopDeadline within a bounded number of
-	// search steps.
+	// Unknown with StopCanceled, or StopDeadline when its deadline passed,
+	// within a bounded number of search steps.
 	Ctx context.Context
 	// Probes, when non-nil, receives lock-free per-worker progress slots:
 	// Solve registers one probe (ID 0) and SolveParallel one per worker,
@@ -675,29 +665,21 @@ func luby(y float64, i int) float64 {
 	return p
 }
 
-// checkLimits polls the deadline, context and interrupt flag, recording the
-// stop cause. It returns true when the search must stop.
-func (s *Solver) checkLimits(deadline time.Time) bool {
-	if !deadline.IsZero() && time.Now().After(deadline) {
+// checkLimits polls the context, recording the stop cause. It returns true
+// when the search must stop.
+func (s *Solver) checkLimits() bool {
+	if s.Ctx == nil {
+		return false
+	}
+	switch s.Ctx.Err() {
+	case nil:
+		return false
+	case context.DeadlineExceeded:
 		s.stop = StopDeadline
-		return true
+	default:
+		s.stop = StopCanceled
 	}
-	if s.Ctx != nil {
-		switch s.Ctx.Err() {
-		case nil:
-		case context.DeadlineExceeded:
-			s.stop = StopDeadline
-			return true
-		default:
-			s.stop = StopCanceled
-			return true
-		}
-	}
-	if s.Interrupt != nil && s.Interrupt.Load() {
-		s.stop = StopInterrupt
-		return true
-	}
-	return false
+	return true
 }
 
 // learn records the clause produced by conflict analysis: enqueue the
@@ -725,7 +707,7 @@ func (s *Solver) learn(learnt []Lit) {
 }
 
 // search runs CDCL until a result or until nConflicts conflicts occurred.
-func (s *Solver) search(nConflicts int64, deadline time.Time) Status {
+func (s *Solver) search(nConflicts int64) Status {
 	conflicts := int64(0)
 	steps := int64(0)
 	for {
@@ -766,7 +748,7 @@ func (s *Solver) search(nConflicts int64, deadline time.Time) Status {
 		}
 		if s.stats.Conflicts%1024 == 0 || steps&255 == 0 {
 			s.publishProgress()
-			if s.checkLimits(deadline) {
+			if s.checkLimits() {
 				s.cancelUntil(0)
 				return Unknown
 			}
@@ -874,7 +856,7 @@ func (s *Solver) solve() Status {
 				return Unknown
 			}
 		}
-		st := s.search(n, s.Deadline)
+		st := s.search(n)
 		spent += n
 		switch st {
 		case Sat:
@@ -897,7 +879,7 @@ func (s *Solver) solve() Status {
 			s.stop = StopConflictBudget
 			return Unknown
 		}
-		if s.checkLimits(s.Deadline) {
+		if s.checkLimits() {
 			return Unknown
 		}
 		s.stats.Restarts++

@@ -1,8 +1,8 @@
 package sat
 
 import (
+	"context"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -269,7 +269,9 @@ func TestConflictBudget(t *testing.T) {
 func TestDeadline(t *testing.T) {
 	s := New()
 	pigeonhole(s, 10, 9)
-	s.Deadline = time.Now().Add(-time.Second) // already expired
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second)) // already expired
+	defer cancel()
+	s.Ctx = ctx
 	if got := s.Solve(); got != Unknown {
 		t.Fatalf("got %v, want Unknown with expired deadline", got)
 	}
@@ -376,21 +378,5 @@ func TestReduceDBKeepsCorrectness(t *testing.T) {
 	}
 	if s.Stats().ConflictClauses < 1000 {
 		t.Skip("instance solved before the reduction threshold; nothing to check")
-	}
-}
-
-func TestInterruptFlag(t *testing.T) {
-	s := New()
-	pigeonhole(s, 6, 5)
-	var stop atomic.Bool
-	stop.Store(true)
-	s.Interrupt = &stop
-	if got := s.Solve(); got != Unknown {
-		t.Fatalf("got %v, want Unknown under interrupt", got)
-	}
-	// Clearing the flag lets it finish.
-	stop.Store(false)
-	if got := s.Solve(); got != Unsat {
-		t.Fatalf("got %v, want Unsat after clearing interrupt", got)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"fmt"
 	"time"
 
 	"sufsat"
@@ -145,23 +144,13 @@ type RespStats struct {
 	ConflictClauses int64 `json:"conflict_clauses"`
 }
 
-// ParseMethod maps a request method string onto the facade enum.
+// ParseMethod maps a request method string onto the facade enum: the
+// facade's method names (sufsat.ParseMethod), with "" meaning hybrid.
 func ParseMethod(s string) (sufsat.Method, error) {
-	switch s {
-	case "", "hybrid":
+	if s == "" {
 		return sufsat.MethodHybrid, nil
-	case "sd":
-		return sufsat.MethodSD, nil
-	case "eij":
-		return sufsat.MethodEIJ, nil
-	case "lazy":
-		return sufsat.MethodLazy, nil
-	case "svc":
-		return sufsat.MethodSVC, nil
-	case "portfolio":
-		return sufsat.MethodPortfolio, nil
 	}
-	return 0, fmt.Errorf("server: unknown method %q", s)
+	return sufsat.ParseMethod(s)
 }
 
 // options maps the request's budget fields onto facade Options (before

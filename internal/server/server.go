@@ -40,6 +40,7 @@ import (
 	"net"
 	"net/http"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -621,23 +622,7 @@ func (s *Server) exec(t *task, depthAtDequeue int, queueWait time.Duration) (res
 }
 
 // methodString renders a facade method in request syntax.
-func methodString(m sufsat.Method) string {
-	switch m {
-	case sufsat.MethodHybrid:
-		return "hybrid"
-	case sufsat.MethodSD:
-		return "sd"
-	case sufsat.MethodEIJ:
-		return "eij"
-	case sufsat.MethodLazy:
-		return "lazy"
-	case sufsat.MethodSVC:
-		return "svc"
-	case sufsat.MethodPortfolio:
-		return "portfolio"
-	}
-	return m.String()
-}
+func methodString(m sufsat.Method) string { return strings.ToLower(m.String()) }
 
 // endRequestSpan closes the per-request span with the final status.
 func (t *task) endRequestSpan(status string) {

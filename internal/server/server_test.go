@@ -145,6 +145,9 @@ func TestMalformedRequests(t *testing.T) {
 		// Offset numerals summing past suf.MaxNumeral: each unit would be a
 		// succ/pred node.
 		{"numeral flood", `{"formula":"(and (= a1 (+ b1 65536)) (= a2 (+ b2 65536)) (= a3 (+ b3 65536)) (= a4 (+ b4 65536)))"}`},
+		// A distinct over 182 arguments expands into 16,471 pairs, past
+		// smtlib.MaxDistinctPairs.
+		{"distinct flood", `{"formula":"(declare-const x Int)(assert (distinct` + strings.Repeat(" x", 182) + `))","smt2":true}`},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(c.BaseURL+"/decide", "application/json", strings.NewReader(tc.body))

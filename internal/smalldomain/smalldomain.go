@@ -310,14 +310,6 @@ func (e *Encoder) bvUlt(a, b []*boolexpr.Node) *boolexpr.Node {
 	return lt
 }
 
-// Encode runs the full standalone SD encoding of the analyzed formula and
-// returns F_bool; a validity check refutes ¬F_bool.
-func Encode(info *sep.Info, sb *suf.Builder, bb *boolexpr.Builder) (*boolexpr.Node, Stats, error) {
-	e := NewEncoder(info, sb, bb)
-	f, err := e.walker.Encode(info.Formula)
-	return f, e.stats, err
-}
-
 // DecodeConsts reconstructs integer values for the general constants whose
 // bit variables the SAT model assigns. val maps a bit-variable name to its
 // value and whether it is known (variables folded out of the CNF are

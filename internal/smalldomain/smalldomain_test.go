@@ -12,6 +12,41 @@ import (
 	"sufsat/internal/suf"
 )
 
+// encodeSD encodes the analyzed formula through an Encoder and returns
+// F_bool and the encoding statistics.
+func encodeSD(info *sep.Info, b *suf.Builder, bb *boolexpr.Builder) (*boolexpr.Node, Stats, error) {
+	e := NewEncoder(info, b, bb)
+	f, err := e.Walker().Encode(info.Formula)
+	return f, e.Stats(), err
+}
+
+// encodeEIJ encodes the analyzed formula through a per-constraint Encoder
+// and returns F_bvar and F_trans as one Boolean formula.
+func encodeEIJ(info *sep.Info, b *suf.Builder, bb *boolexpr.Builder) (bvar, trans *boolexpr.Node, err error) {
+	e := perconstraint.NewEncoder(info, b, bb)
+	if bvar, err = e.Walker().Encode(info.Formula); err != nil {
+		return nil, nil, err
+	}
+	ts, err := e.TransSet()
+	if err != nil {
+		return nil, nil, err
+	}
+	trans = bb.True()
+	for i := 0; i < ts.Len(); i++ {
+		d := bb.False()
+		for _, code := range ts.Clause(i) {
+			l := ts.Lit(code)
+			if l.Neg {
+				d = bb.Or(d, bb.Not(l.Var))
+			} else {
+				d = bb.Or(d, l.Var)
+			}
+		}
+		trans = bb.And(trans, d)
+	}
+	return bvar, trans, nil
+}
+
 // sdSatisfiable encodes f with SD and reports Boolean satisfiability, which
 // must equal satisfiability of f.
 func sdSatisfiable(t *testing.T, f *suf.BoolExpr, b *suf.Builder, pconsts map[string]bool) bool {
@@ -21,7 +56,7 @@ func sdSatisfiable(t *testing.T, f *suf.BoolExpr, b *suf.Builder, pconsts map[st
 		t.Fatal(err)
 	}
 	bb := boolexpr.NewBuilder()
-	enc, _, err := Encode(info, b, bb)
+	enc, _, err := encodeSD(info, b, bb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +128,7 @@ func TestBitWidthsFollowRanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	bb := boolexpr.NewBuilder()
-	_, st, err := Encode(info, b, bb)
+	_, st, err := encodeSD(info, b, bb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +266,7 @@ func TestSDAgreesWithEIJ(t *testing.T) {
 		}
 
 		bbSD := boolexpr.NewBuilder()
-		encSD, _, err := Encode(info, b, bbSD)
+		encSD, _, err := encodeSD(info, b, bbSD)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,12 +275,12 @@ func TestSDAgreesWithEIJ(t *testing.T) {
 		gotSD := sSD.Solve()
 
 		bbE := boolexpr.NewBuilder()
-		resE, err := perconstraint.Encode(info, b, bbE, 0)
+		bvarE, transE, err := encodeEIJ(info, b, bbE)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sE := sat.New()
-		boolexpr.AssertTrue(bbE.And(resE.Trans, resE.Bvar), sE)
+		boolexpr.AssertTrue(bbE.And(transE, bvarE), sE)
 		gotE := sE.Solve()
 
 		if gotSD != gotE {
@@ -263,7 +298,7 @@ func TestEncodeStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	bb := boolexpr.NewBuilder()
-	_, st, err := Encode(info, b, bb)
+	_, st, err := encodeSD(info, b, bb)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -201,7 +201,17 @@ type translator struct {
 	script  *Script
 	lets    []map[string]value // let-binding scopes
 	offsets int                // sum of |k| over the offsets built so far
+	pairs   int                // disequalities distinct has built so far
 }
+
+// MaxDistinctPairs caps the disequalities that the distinct applications of
+// one script expand into. distinct over n arguments builds n(n−1)/2 of
+// them, so without the cap a few kilobytes of arguments could ask for
+// millions of nodes before any admission control sees the formula. The cap
+// admits one distinct over 181 arguments, a few nodes per pair, on the
+// order of the nodes suf.MaxNumeral admits. A distinct that would pass the
+// cap is rejected before it builds anything.
+const MaxDistinctPairs = 1 << 14
 
 // offset builds x + k. Offsets become succ/pred chains, one node per unit, so
 // suf.MaxNumeral caps the sum of |k| over all the offsets one script's
@@ -449,6 +459,13 @@ func (t *translator) eqChain(head string, args []snode) (value, error) {
 	b := t.b
 	if len(args) < 2 {
 		return value{}, fmt.Errorf("smtlib: %s takes at least 2 arguments", head)
+	}
+	if head == "distinct" {
+		pairs := len(args) * (len(args) - 1) / 2
+		if pairs > MaxDistinctPairs-t.pairs {
+			return value{}, fmt.Errorf("smtlib: distinct pairs sum to more than the supported total %d", MaxDistinctPairs)
+		}
+		t.pairs += pairs
 	}
 	// Integer chains go through the difference-form path so (- x y) works.
 	if fs, err := t.diffForms(args); err == nil {

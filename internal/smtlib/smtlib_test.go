@@ -300,6 +300,45 @@ func TestNumeralFlood(t *testing.T) {
 	}
 }
 
+// TestDistinctFlood: distinct over n arguments expands into n(n−1)/2
+// disequalities, so a 2,000-argument distinct must be rejected before it
+// builds its two million pairs, with an error naming the cap. The cap holds
+// per script and at both sorts.
+func TestDistinctFlood(t *testing.T) {
+	// script declares n constants of sort and asserts k distincts over them.
+	script := func(sort string, n, k int) string {
+		var sb, args strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&sb, "(declare-fun v%d () %s)", i, sort)
+			fmt.Fprintf(&args, " v%d", i)
+		}
+		for ; k > 0; k-- {
+			fmt.Fprintf(&sb, "(assert (distinct%s))", args.String())
+		}
+		return sb.String()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ParseScript(script("Int", 2000, 1), suf.NewBuilder())
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; err == nil || n > 25<<20 {
+		t.Errorf("2,000-argument distinct: %v after allocating %.1f MB, want an error within 25 MB", err, float64(n)/(1<<20))
+	} else if !strings.Contains(err.Error(), strconv.Itoa(MaxDistinctPairs)) {
+		t.Errorf("error %q does not name the cap %d", err, MaxDistinctPairs)
+	}
+	// Two 128-argument distincts make 16,256 pairs, within the cap; a third
+	// passes it.
+	if _, err := ParseScript(script("Int", 128, 2), suf.NewBuilder()); err != nil {
+		t.Errorf("two 128-argument distincts: %v", err)
+	}
+	if _, err := ParseScript(script("Int", 128, 3), suf.NewBuilder()); err == nil {
+		t.Error("three 128-argument distincts (24,384 pairs) passed the cap")
+	}
+	if _, err := ParseScript(script("Bool", 200, 1), suf.NewBuilder()); err == nil {
+		t.Error("a 200-argument Bool distinct (19,900 pairs) passed the cap")
+	}
+}
+
 // TestEqualityOfDifference checks that = reads both sides in difference
 // form, so a difference of constants can be compared with a literal.
 func TestEqualityOfDifference(t *testing.T) {

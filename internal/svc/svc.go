@@ -24,7 +24,6 @@ import (
 
 	"sufsat/internal/core"
 	"sufsat/internal/difflogic"
-	"sufsat/internal/funcelim"
 	"sufsat/internal/obs"
 	"sufsat/internal/sep"
 	"sufsat/internal/suf"
@@ -49,7 +48,7 @@ type Result struct {
 	Telemetry *obs.Snapshot
 }
 
-// Options configures DecideOpts.
+// Options configures Decide.
 type Options struct {
 	// Timeout bounds total wall-clock time (0 = none).
 	Timeout time.Duration
@@ -60,39 +59,20 @@ type Options struct {
 }
 
 type prover struct {
-	b        *suf.Builder
-	info     *sep.Info
-	th       *difflogic.Solver
-	ctx      context.Context
-	deadline time.Time
-	checks   int64 // satisfiable() calls, gating context polls
-	stats    Stats
+	b     *suf.Builder
+	info  *sep.Info
+	th    *difflogic.Solver
+	ctx   context.Context // polled once per satisfiable() call
+	stats Stats
 }
 
-var errDeadline = fmt.Errorf("svc: %w", core.ErrDeadline)
-
-// Decide checks validity of the SUF formula f by case splitting under a
-// background context. timeout 0 means no deadline.
-func Decide(f *suf.BoolExpr, b *suf.Builder, timeout time.Duration) *Result {
-	return DecideCtx(context.Background(), f, b, timeout)
-}
-
-// DecideCtx checks validity of the SUF formula f by case splitting.
-// Cancelling ctx aborts the run with a Canceled status within a bounded
-// number of case splits; timeout 0 means no extra deadline.
-func DecideCtx(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, timeout time.Duration) *Result {
-	return DecideOpts(ctx, f, b, Options{Timeout: timeout})
-}
-
-// DecideOpts is the full-option entry point of the SVC procedure.
-func DecideOpts(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, o Options) *Result {
+// Decide checks validity of the SUF formula f by case splitting.
+// Cancelling ctx aborts the run with a Canceled status at the next case
+// split; a ctx deadline or Options.Timeout yields Timeout.
+func Decide(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, o Options) *Result {
 	start := time.Now()
 	rec := o.Telemetry
 	res := &Result{}
-	emit := func(r *Result) *Result {
-		r.Telemetry = snapshot(r, rec)
-		return r
-	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -101,56 +81,32 @@ func DecideOpts(ctx context.Context, f *suf.BoolExpr, b *suf.Builder, o Options)
 		ctx, cancel = context.WithTimeout(ctx, o.Timeout)
 		defer cancel()
 	}
-	deadline, _ := ctx.Deadline()
-	// The split loop polls only every 256 checks; catch an already-dead
-	// context before doing any work at all.
-	if err := ctx.Err(); err != nil {
-		err = fmt.Errorf("svc: %w", err)
-		res.Status = core.StatusOf(err)
-		res.Err = err
-		res.Stats.Total = time.Since(start)
-		return emit(res)
-	}
-
-	feSpan := rec.StartSpan("funcelim")
-	elim := funcelim.Eliminate(f, b)
-	feSpan.AttrFloat("p_func_fraction", elim.PFuncFraction).End()
-	anSpan := rec.StartSpan("analyze")
-	info, err := sep.Analyze(elim.Formula, b, elim.PConsts)
-	if err != nil {
-		res.Status = core.StatusOf(err)
-		res.Err = err
-		res.Stats.Total = time.Since(start)
-		return emit(res)
-	}
-	anSpan.AttrInt("sep_preds", info.NumSepPreds).End()
-
-	p := &prover{b: b, info: info, th: difflogic.NewSolver(), ctx: ctx, deadline: deadline}
-	// Refute ¬F: flatten its atoms to ground predicates first. The split
-	// span covers flattening and the whole recursive search; per-split spans
-	// would swamp the trace on disjunction-rich formulas.
-	spSpan := rec.StartSpan("split")
-	query, err := p.flatten(b.Not(info.Formula))
+	_, info, err := core.Separate(ctx, f, b, core.Options{Telemetry: rec})
 	if err == nil {
+		p := &prover{b: b, info: info, th: difflogic.NewSolver(), ctx: ctx}
+		// Refute ¬F: flatten its atoms to ground predicates first. The split
+		// span covers flattening and the whole recursive search; per-split
+		// spans would swamp the trace on disjunction-rich formulas.
+		spSpan := rec.StartSpan("split")
+		var query *suf.BoolExpr
 		var falsifiable bool
-		falsifiable, err = p.satisfiable(query)
-		if err == nil {
-			if falsifiable {
-				res.Status = core.Invalid
-			} else {
-				res.Status = core.Valid
-			}
+		if query, err = p.flatten(b.Not(info.Formula)); err == nil {
+			falsifiable, err = p.satisfiable(query)
+		}
+		res.Stats = p.stats
+		spSpan.AttrInt64("splits", res.Stats.Splits).
+			AttrInt64("theory_asserts", res.Stats.TheoryAsserts).End()
+		res.Status = core.Valid
+		if falsifiable {
+			res.Status = core.Invalid
 		}
 	}
 	if err != nil {
-		res.Status = core.StatusOf(err)
-		res.Err = err
+		res.Status, res.Err = core.Classify(err)
 	}
-	res.Stats = p.stats
 	res.Stats.Total = time.Since(start)
-	spSpan.AttrInt64("splits", res.Stats.Splits).
-		AttrInt64("theory_asserts", res.Stats.TheoryAsserts).End()
-	return emit(res)
+	res.Telemetry = snapshot(res, rec)
+	return res
 }
 
 // snapshot builds the unified telemetry report for an SVC run (nil when
@@ -261,14 +217,8 @@ func (p *prover) groundAtom(kind suf.BoolKind, g1, g2 sep.Ground) (*suf.BoolExpr
 // satisfiable decides whether f has a model extending the constraints
 // currently asserted in the theory solver.
 func (p *prover) satisfiable(f *suf.BoolExpr) (bool, error) {
-	p.checks++
-	if p.checks&255 == 0 {
-		if err := p.ctx.Err(); err != nil {
-			return false, fmt.Errorf("svc: %w", err)
-		}
-	}
-	if !p.deadline.IsZero() && time.Now().After(p.deadline) {
-		return false, errDeadline
+	if err := p.ctx.Err(); err != nil {
+		return false, fmt.Errorf("svc: %w", err)
 	}
 	switch f.Kind() {
 	case suf.BTrue:

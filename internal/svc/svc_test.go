@@ -1,6 +1,7 @@
 package svc
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sufsat/internal/difflogic"
@@ -35,7 +36,7 @@ func TestCatalog(t *testing.T) {
 		t.Run(fc.name, func(t *testing.T) {
 			b := suf.NewBuilder()
 			f := suf.MustParse(fc.src, b)
-			res := Decide(f, b, 0)
+			res := Decide(context.Background(), f, b, Options{})
 			if res.Err != nil {
 				t.Fatalf("error: %v", res.Err)
 			}
@@ -93,7 +94,7 @@ func TestAgreesWithHybrid(t *testing.T) {
 	for iter := 0; iter < 100; iter++ {
 		b := suf.NewBuilder()
 		f := randomSUF(rng, b, 3)
-		rs := Decide(f, b, 0)
+		rs := Decide(context.Background(), f, b, Options{})
 		rh := core.Decide(f, b, core.Options{Method: core.Hybrid})
 		if rs.Err != nil || rh.Err != nil {
 			t.Fatalf("iter %d: errors %v / %v", iter, rs.Err, rh.Err)
@@ -120,7 +121,7 @@ func TestConjunctionsAreLinear(t *testing.T) {
 	// atoms (each atom is decided once, the second branch dies immediately).
 	for _, n := range []int{5, 10, 20} {
 		b := suf.NewBuilder()
-		res := Decide(conjunction(b, n), b, 0)
+		res := Decide(context.Background(), conjunction(b, n), b, Options{})
 		if res.Status != core.Valid {
 			t.Fatalf("n=%d: got %v", n, res.Status)
 		}
@@ -155,7 +156,7 @@ func TestDisjunctionsBlowUp(t *testing.T) {
 			ai, bi := b.Sym(fmt.Sprintf("a%d", i)), b.Sym(fmt.Sprintf("b%d", i))
 			f = b.Or(f, b.And(b.Lt(ai, bi), b.Lt(bi, ai)))
 		}
-		res := Decide(b.Not(f), b, 0)
+		res := Decide(context.Background(), b.Not(f), b, Options{})
 		if res.Status != core.Valid {
 			t.Fatalf("n=%d: got %v", n, res.Status)
 		}
@@ -179,7 +180,7 @@ func TestDeadline(t *testing.T) {
 	// Valid formula (negated satisfiable clique ordering constraints are
 	// satisfiable, so this is invalid — either way the deadline must fire
 	// before the exponential search ends).
-	res := Decide(b.Not(f), b, time.Nanosecond)
+	res := Decide(context.Background(), b.Not(f), b, Options{Timeout: time.Nanosecond})
 	if res.Status != core.Timeout {
 		t.Fatalf("got %v, want Timeout", res.Status)
 	}
@@ -187,7 +188,7 @@ func TestDeadline(t *testing.T) {
 
 func TestStatsPopulated(t *testing.T) {
 	b := suf.NewBuilder()
-	res := Decide(conjunction(b, 6), b, 0)
+	res := Decide(context.Background(), conjunction(b, 6), b, Options{})
 	if res.Stats.Splits == 0 || res.Stats.TheoryAsserts == 0 || res.Stats.Total <= 0 {
 		t.Fatalf("stats not populated: %+v", res.Stats)
 	}

@@ -319,5 +319,5 @@ func (s *System) trace(subs []*suf.Subst, m *core.Model) []State {
 
 // DefaultOptions returns reasonable options for system checks.
 func DefaultOptions(timeout time.Duration) core.Options {
-	return core.Options{Timeout: timeout, MaxTrans: 2_000_000}
+	return core.Options{Timeout: timeout, MaxTransClauses: 2_000_000}
 }

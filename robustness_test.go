@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 )
 
 // clique builds the dense-order stress formula used to exercise budgets.
@@ -98,6 +99,7 @@ func TestBudgetSentinelsExported(t *testing.T) {
 		opts Options
 		want error
 	}{
+		{"trans", Options{Method: MethodEIJ, MaxTransClauses: 1}, ErrTransBudget},
 		{"cnf", Options{MaxCNFClauses: 1}, ErrClauseBudget},
 		{"memory", Options{MaxMemoryEstimate: 1}, ErrMemoryBudget},
 	}
@@ -134,6 +136,36 @@ func TestStatusStrings(t *testing.T) {
 		}
 		if s.Definitive() != (s == Valid || s == Invalid) {
 			t.Errorf("%v.Definitive() wrong", s)
+		}
+	}
+}
+
+// TestStopsCarrySentinels: whichever method runs and wherever it stops, a
+// deadline is a Timeout whose Err wraps ErrDeadline and a cancellation a
+// Canceled whose Err wraps ErrCanceled, with the context's own error still
+// in the chain.
+func TestStopsCarrySentinels(t *testing.T) {
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	cases := []struct {
+		name     string
+		ctx      context.Context
+		timeout  time.Duration
+		status   Status
+		sentinel error
+		ctxErr   error
+	}{
+		{"timeout", context.Background(), time.Nanosecond, Timeout, ErrDeadline, context.DeadlineExceeded},
+		{"canceled", canceled, 0, Canceled, ErrCanceled, context.Canceled},
+	}
+	for _, m := range []Method{MethodHybrid, MethodSD, MethodEIJ, MethodLazy, MethodSVC, MethodPortfolio} {
+		for _, c := range cases {
+			b := NewBuilder()
+			res := DecideContext(c.ctx, clique(b, 8), Options{Method: m, Timeout: c.timeout})
+			if res.Status != c.status || !errors.Is(res.Err, c.sentinel) || !errors.Is(res.Err, c.ctxErr) {
+				t.Errorf("%v %s: got (%v, %v), want %v wrapping %v and %v",
+					m, c.name, res.Status, res.Err, c.status, c.sentinel, c.ctxErr)
+			}
 		}
 	}
 }

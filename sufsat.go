@@ -290,22 +290,48 @@ const (
 	MethodPortfolio
 )
 
+// methodNames is the one table of method names: String returns a method's
+// entry and ParseMethod reads it lower-cased, the form of the sufdecide
+// -method flag and of the service's request field.
+var methodNames = [...]string{
+	MethodHybrid:    "HYBRID",
+	MethodSD:        "SD",
+	MethodEIJ:       "EIJ",
+	MethodLazy:      "LAZY",
+	MethodSVC:       "SVC",
+	MethodPortfolio: "PORTFOLIO",
+}
+
 func (m Method) String() string {
-	switch m {
-	case MethodHybrid:
-		return "HYBRID"
-	case MethodSD:
-		return "SD"
-	case MethodEIJ:
-		return "EIJ"
-	case MethodLazy:
-		return "LAZY"
-	case MethodSVC:
-		return "SVC"
-	case MethodPortfolio:
-		return "PORTFOLIO"
+	if m >= 0 && int(m) < len(methodNames) {
+		return methodNames[m]
 	}
 	return fmt.Sprintf("Method(%d)", int(m))
+}
+
+// ParseMethod returns the method named name, its String lower-cased:
+// "hybrid", "sd", "eij", "lazy", "svc" or "portfolio".
+func ParseMethod(name string) (Method, error) {
+	for m, s := range methodNames {
+		if strings.ToLower(s) == name {
+			return Method(m), nil
+		}
+	}
+	return 0, fmt.Errorf("sufsat: unknown method %q", name)
+}
+
+// coreMethod returns the eager pipeline's method for m, and false for the
+// lazy, SVC and portfolio methods and for unknown ones.
+func (m Method) coreMethod() (core.Method, bool) {
+	switch m {
+	case MethodHybrid:
+		return core.Hybrid, true
+	case MethodSD:
+		return core.SD, true
+	case MethodEIJ:
+		return core.EIJ, true
+	}
+	return 0, false
 }
 
 // Status is a decision outcome. Valid and Invalid are definitive verdicts
@@ -366,9 +392,6 @@ type Options struct {
 	// Timeout bounds total wall-clock time (0 = none); exceeding it reports
 	// Timeout. Equivalent to a context deadline on DecideContext.
 	Timeout time.Duration
-	// MaxTrans caps eager transitivity-constraint generation (0 = none).
-	// Deprecated: alias for MaxTransClauses, which wins when both are set.
-	MaxTrans int
 	// MaxTransClauses caps eager transitivity-constraint generation
 	// (0 = none). Under the hybrid method the cap degrades gracefully: a class
 	// whose generation exhausts it is re-routed to the SD encoder and the
@@ -425,20 +448,31 @@ type Limits = core.Limits
 // except SolverWorkers, whose zero value means "sequential" and therefore
 // only clamps downward.
 func (o *Options) ApplyLimits(l Limits) []string {
-	co := core.Options{
-		Timeout:           o.Timeout,
-		SolverWorkers:     o.SolverWorkers,
-		MaxTrans:          o.MaxTrans,
+	co := o.coreOptions(core.Hybrid)
+	clamped := l.Clamp(&co)
+	o.Timeout, o.SolverWorkers, o.MaxTransClauses = co.Timeout, co.SolverWorkers, co.MaxTransClauses
+	o.MaxCNFClauses, o.MaxConflicts, o.MaxMemoryEstimate = co.MaxCNFClauses, co.MaxConflicts, co.MaxMemoryEstimate
+	return clamped
+}
+
+// coreOptions is the one mapping of facade options onto the eager
+// pipeline's, with m the pipeline method.
+func (o *Options) coreOptions(m core.Method) core.Options {
+	return core.Options{
+		Method:            m,
+		SepThreshold:      o.SepThreshold,
 		MaxTransClauses:   o.MaxTransClauses,
 		MaxCNFClauses:     o.MaxCNFClauses,
 		MaxConflicts:      o.MaxConflicts,
 		MaxMemoryEstimate: o.MaxMemoryEstimate,
+		SolverWorkers:     o.SolverWorkers,
+		NoDegrade:         o.NoDegrade,
+		Timeout:           o.Timeout,
+		Ackermann:         o.Ackermann,
+		DumpCNF:           o.DumpCNF,
+		Hook:              o.Hook,
+		Telemetry:         o.Telemetry,
 	}
-	clamped := l.Clamp(&co)
-	o.Timeout, o.SolverWorkers = co.Timeout, co.SolverWorkers
-	o.MaxTrans, o.MaxTransClauses = co.MaxTrans, co.MaxTransClauses
-	o.MaxCNFClauses, o.MaxConflicts, o.MaxMemoryEstimate = co.MaxCNFClauses, co.MaxConflicts, co.MaxMemoryEstimate
-	return clamped
 }
 
 // Stats reports pipeline measurements of a Decide call.
@@ -560,7 +594,7 @@ func DecideContext(ctx context.Context, f Formula, opts Options) (res *Result) {
 	}()
 	switch opts.Method {
 	case MethodLazy:
-		r := lazy.DecideOpts(ctx, f.f, f.b.sb, lazy.Options{
+		r := lazy.Decide(ctx, f.f, f.b.sb, lazy.Options{
 			Timeout:   opts.Timeout,
 			Workers:   opts.SolverWorkers,
 			Telemetry: opts.Telemetry,
@@ -576,7 +610,7 @@ func DecideContext(ctx context.Context, f Formula, opts Options) (res *Result) {
 		}
 		return out
 	case MethodSVC:
-		r := svc.DecideOpts(ctx, f.f, f.b.sb, svc.Options{
+		r := svc.Decide(ctx, f.f, f.b.sb, svc.Options{
 			Timeout:   opts.Timeout,
 			Telemetry: opts.Telemetry,
 		})
@@ -584,43 +618,19 @@ func DecideContext(ctx context.Context, f Formula, opts Options) (res *Result) {
 			Nodes:     suf.CountNodes(f.f),
 			TotalTime: r.Stats.Total,
 		}}
-	}
-	var m core.Method
-	switch opts.Method {
-	case MethodHybrid:
-		m = core.Hybrid
-	case MethodSD:
-		m = core.SD
-	case MethodEIJ:
-		m = core.EIJ
 	case MethodPortfolio:
-		// handled below
-	default:
+		return result(core.DecidePortfolioCtx(ctx, f.f, f.b.sb, opts.coreOptions(core.Hybrid)))
+	}
+	m, ok := opts.Method.coreMethod()
+	if !ok {
 		return &Result{Status: Error, Err: fmt.Errorf("sufsat: unknown method %v", opts.Method)}
 	}
-	copts := core.Options{
-		Method:            m,
-		SepThreshold:      opts.SepThreshold,
-		MaxTrans:          opts.MaxTrans,
-		MaxTransClauses:   opts.MaxTransClauses,
-		MaxCNFClauses:     opts.MaxCNFClauses,
-		MaxConflicts:      opts.MaxConflicts,
-		MaxMemoryEstimate: opts.MaxMemoryEstimate,
-		SolverWorkers:     opts.SolverWorkers,
-		NoDegrade:         opts.NoDegrade,
-		Timeout:           opts.Timeout,
-		Ackermann:         opts.Ackermann,
-		DumpCNF:           opts.DumpCNF,
-		Hook:              opts.Hook,
-		Telemetry:         opts.Telemetry,
-	}
-	var r *core.Result
-	if opts.Method == MethodPortfolio {
-		r = core.DecidePortfolioCtx(ctx, f.f, f.b.sb, copts)
-	} else {
-		r = core.DecideCtx(ctx, f.f, f.b.sb, copts)
-	}
-	out := &Result{Status: r.Status, Err: r.Err, Stats: Stats{
+	return result(core.DecideCtx(ctx, f.f, f.b.sb, opts.coreOptions(m)))
+}
+
+// result is the one mapping of an eager pipeline result onto the facade's.
+func result(r *core.Result) *Result {
+	out := &Result{Status: r.Status, Err: r.Err, Telemetry: r.Telemetry, Stats: Stats{
 		Nodes:           r.Stats.SUFNodes,
 		SepPreds:        r.Stats.SepPreds,
 		Classes:         r.Stats.Classes,
@@ -633,7 +643,6 @@ func DecideContext(ctx context.Context, f Formula, opts Options) (res *Result) {
 		SATTime:         r.Stats.SATTime,
 		TotalTime:       r.Stats.TotalTime,
 	}}
-	out.Telemetry = r.Telemetry
 	if r.Model != nil {
 		out.Counterexample = &Counterexample{m: r.Model}
 	}

@@ -142,6 +142,21 @@ func TestMethodStrings(t *testing.T) {
 	}
 }
 
+// TestParseMethodRoundTrips: every method parses back from its lower-cased
+// String, and any other name is an error.
+func TestParseMethodRoundTrips(t *testing.T) {
+	for m := MethodHybrid; m <= MethodPortfolio; m++ {
+		if got, err := ParseMethod(strings.ToLower(m.String())); err != nil || got != m {
+			t.Errorf("ParseMethod(%q) = %v, %v; want %v", strings.ToLower(m.String()), got, err, m)
+		}
+	}
+	for _, name := range []string{"", "HYBRID", "cvc", "method(6)"} {
+		if m, err := ParseMethod(name); err == nil {
+			t.Errorf("ParseMethod(%q) = %v, want an error", name, m)
+		}
+	}
+}
+
 func TestHybridStatsExposeClassSplit(t *testing.T) {
 	b := NewBuilder()
 	// Two classes: one big (forced to SD with threshold 1), one trivial.

@@ -106,8 +106,8 @@ func sysOpts(opts Options) core.Options {
 	}
 	o := tsys.DefaultOptions(t)
 	o.SepThreshold = opts.SepThreshold
-	if opts.MaxTrans != 0 {
-		o.MaxTrans = opts.MaxTrans
+	if opts.MaxTransClauses != 0 {
+		o.MaxTransClauses = opts.MaxTransClauses
 	}
 	return o
 }
