@@ -66,6 +66,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkSolve -benchtime=1x ./internal/sat
 	$(GO) test -run=NONE -bench='BenchmarkParse|BenchmarkFingerprint' -benchtime=1x ./internal/suf
 	$(GO) test -run=NONE -bench=BenchmarkDecideInvariant -benchtime=1x ./internal/core
+	$(GO) test -run=NONE -bench=BenchmarkCacheHit -benchtime=1x ./internal/server
 
 # fuzz-smoke fuzzes the formula front end that every /decide request goes
 # through, 10 s per target: FuzzParse (no panic; accepted input round-trips
@@ -140,12 +141,13 @@ chaos-soak:
 
 # cache-gate is the caching/incrementality verification gate. The timing
 # halves run uninstrumented (a 10x and a 1.5x wall-clock ratio are meaningless
-# under the race detector's slowdown); the correctness half — concurrent
-# cache-mix soak where every cached verdict is checked against ground truth —
-# runs with -race so cache and single-flight internals are instrumented while
-# being hammered.
+# under the race detector's slowdown), and so does the allocation pin that a
+# byte-identical repeat is answered without a parse; the correctness half —
+# concurrent cache-mix soak where every cached verdict is checked against
+# ground truth — runs with -race so cache and single-flight internals are
+# instrumented while being hammered.
 cache-gate:
-	$(GO) test -run 'TestCacheColdWarmSpeedup|TestBatchDecide' ./internal/server
+	$(GO) test -run 'TestCacheColdWarmSpeedup|TestBatchDecide|TestRepeatHitSkipsParse' ./internal/server
 	$(GO) test -run TestBMCStreamSpeedup ./internal/bench
 	$(GO) test -race -run TestSoakCacheMix ./internal/server
 

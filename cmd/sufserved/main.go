@@ -11,8 +11,8 @@
 //	          [-default-deadline 10s] [-max-deadline 60s]
 //	          [-maxtrans N] [-maxcnf N] [-maxconflicts N] [-maxmem BYTES]
 //	          [-nodegrade] [-no-cache] [-cache-entries N] [-cache-bytes N]
-//	          [-trust-fingerprint] [-max-batch N]
-//	          [-drain-timeout 30s] [-debug-addr ADDR] [-slowlog N]
+//	          [-max-batch N] [-drain-timeout 30s] [-debug-addr ADDR]
+//	          [-slowlog N]
 //	          [-no-metrics] [-flightrec-out FILE] [-quiet]
 //	          [-no-history] [-history-interval 5s] [-history-slots 768]
 //	          [-slo-fast 5m] [-slo-slow 1h] [-slo-latency-p95 500ms]
@@ -36,10 +36,10 @@
 // Definitive verdicts are cached in a size-bounded LRU keyed by the
 // formula's canonical fingerprint (alpha-renaming- and commutativity-
 // invariant), with single-flight collapsing of concurrent identical
-// requests. -no-cache turns the layer off; per-request bypass is the
-// no_cache body field. -trust-fingerprint accepts the fingerprint body
-// field as the cache key without reparsing — only safe when every client is
-// a sufrouter instance (a forged fingerprint could poison the cache).
+// requests. A bounded memo maps the exact bytes of each formula to its
+// fingerprint, so a byte-identical repeat is answered from the cache without
+// a parse. -no-cache turns the layer off; per-request bypass is the
+// no_cache body field.
 // -debug-addr additionally serves expvar, pprof and the flight recorder on
 // a separate address.
 //
@@ -101,7 +101,6 @@ func main() {
 	noCache := flag.Bool("no-cache", false, "disable the verdict cache and single-flight collapsing")
 	cacheEntries := flag.Int("cache-entries", 0, "verdict cache entry bound (0 = default, negative = unbounded)")
 	cacheBytes := flag.Int64("cache-bytes", 0, "verdict cache resident-byte bound (0 = default, negative = unbounded)")
-	trustFP := flag.Bool("trust-fingerprint", false, "accept client-supplied fingerprints as cache keys (router-only deployments)")
 	maxBatch := flag.Int("max-batch", 0, "items accepted per /v1/decide/batch request (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight requests on SIGTERM before they are cancelled")
 	debugAddr := flag.String("debug-addr", "", "serve expvar, pprof and the flight recorder on this extra address (e.g. :6060)")
@@ -138,13 +137,12 @@ func main() {
 			MaxConflicts:      *maxConflicts,
 			MaxMemoryEstimate: *maxMem,
 		},
-		NoDegrade:        *noDegrade,
-		NoCache:          *noCache,
-		CacheEntries:     *cacheEntries,
-		CacheBytes:       *cacheBytes,
-		TrustFingerprint: *trustFP,
-		MaxBatch:         *maxBatch,
-		SlowLogSize:      *slowlogK,
+		NoDegrade:    *noDegrade,
+		NoCache:      *noCache,
+		CacheEntries: *cacheEntries,
+		CacheBytes:   *cacheBytes,
+		MaxBatch:     *maxBatch,
+		SlowLogSize:  *slowlogK,
 
 		NoHistory:          *noHistory,
 		HistoryInterval:    *historyInterval,

@@ -24,10 +24,10 @@ var sufReserved = map[string]bool{
 	"true": true, "false": true,
 }
 
-// alphaRename rewrites every symbol in the rendered SUF formula to a fresh
+// AlphaRename rewrites every symbol in the rendered SUF formula to a fresh
 // salted name (injectively, so distinct symbols stay distinct), producing an
 // alpha-equivalent spelling with an identical canonical fingerprint.
-func alphaRename(formula string, salt int) string {
+func AlphaRename(formula string, salt int) string {
 	var out strings.Builder
 	out.Grow(len(formula) + len(formula)/2)
 	i := 0

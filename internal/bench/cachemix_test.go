@@ -13,7 +13,7 @@ func TestAlphaRenamePreservesFingerprint(t *testing.T) {
 		f, _ := bm.Build()
 		src := f.String()
 		for salt := 0; salt < 3; salt++ {
-			renamed := alphaRename(src, salt)
+			renamed := AlphaRename(src, salt)
 			if salt > 0 && renamed == src {
 				t.Errorf("%s: rename with salt %d is a no-op", bm.Name, salt)
 			}

@@ -178,7 +178,7 @@ func RunSoak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 				if cfg.CacheMix > 0 && float64(ticket*409%997) < cfg.CacheMix*997 {
 					item = soakItem{
 						name:    item.name + "-alpha",
-						formula: alphaRename(item.formula, int(ticket%7)),
+						formula: AlphaRename(item.formula, int(ticket%7)),
 						valid:   item.valid,
 					}
 					atomic.AddInt64(&rep.AlphaVariants, 1)

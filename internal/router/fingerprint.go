@@ -11,10 +11,9 @@ import "sufsat/internal/server"
 // Parsing at the router also rejects malformed input before it costs a
 // backend anything.
 //
-// The router forwards the computed fingerprint to the chosen backend in the
-// request body's fingerprint field so a backend running with
-// -trust-fingerprint can skip recanonicalizing (one canonicalization per
-// request across the fleet).
+// Fingerprint is the plain definition; the router keys its ring through a
+// server.KeyMemo, which returns the same value without a parse for bytes it
+// has keyed before.
 //
 // The fingerprinted formula is server.DecidedFormula, the one the backend
 // hands to the solver (an SMT2 request is negated), so the ring key equals

@@ -178,6 +178,7 @@ type Router struct {
 	view    atomic.Pointer[fleetView]
 	metrics *obs.RouterMetrics
 	slow    *obs.SlowLog
+	keys    *server.KeyMemo // ring keys by formula bytes
 
 	hist     *history.History
 	slos     *slo.Engine
@@ -221,6 +222,7 @@ func New(cfg Config) (*Router, error) {
 		failoverBudget: NewBudget(c.FailoverRatio, c.FailoverBurst),
 		hedgeBudget:    NewBudget(c.HedgeRatio, c.HedgeBurst),
 		slow:           obs.NewSlowLog(c.SlowLogSize),
+		keys:           server.NewKeyMemo(),
 	}
 	rt.metrics = obs.NewRouterMetrics(c.Registry, func() float64 {
 		return float64(rt.inFlight.Load())
@@ -585,15 +587,14 @@ func (rt *Router) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	req.RequestID = obs.ResolveRequestID(hdrID, req.RequestID)
 
-	fp, err := Fingerprint(req.Formula, req.SMT2)
+	// The ring key is Fingerprint, memoized by the exact formula bytes: it
+	// equals the backend's cache key, and a byte-identical repeat is routed
+	// without a parse.
+	fp, err := rt.keys.Fingerprint(req.Formula, req.SMT2)
 	if err != nil {
 		rt.malformed(w, req.RequestID, "parse formula: "+err.Error(), start)
 		return
 	}
-	// Forward the canonical fingerprint so a backend running with
-	// -trust-fingerprint skips recanonicalizing: one parse+hash per request
-	// across the fleet, and the ring key equals the backend cache key.
-	req.Fingerprint = fp
 
 	// Trace context: join the sender's trace when a traceparent header came
 	// in; root a fresh trace when the request wants telemetry (the merged

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -456,4 +458,37 @@ func TestRouterProbeRecovery(t *testing.T) {
 		st, _ := rt.BackendState(b.url())
 		return st == BreakerClosed
 	}, "recovered backend's breaker never closed")
+}
+
+// TestRingKeyRepeatAllocs: the router keys a formula text it has keyed
+// before from its memo, without a parse, so the ring key of a repeat costs
+// the same few allocations for a 2,000-equation text as for a 4-equation
+// one, and equals Fingerprint.
+func TestRingKeyRepeatAllocs(t *testing.T) {
+	rt, _, _ := newTestRouter(t, Config{}, newFakeBackend(t, "ok"))
+	var allocs [2]float64
+	for i, n := range []int{4, 2000} {
+		var sb strings.Builder
+		sb.WriteString("(and")
+		for j := 0; j < n; j++ {
+			fmt.Fprintf(&sb, " (= (f x%d) x%d)", j, j+1)
+		}
+		sb.WriteString(")")
+		text := sb.String()
+		want, err := Fingerprint(text, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			if fp, err := rt.keys.Fingerprint(text, false); err != nil || fp != want {
+				t.Fatalf("%d equations, pass %d: ring key %s (err %v), Fingerprint %s", n, pass, fp, err, want)
+			}
+		}
+		allocs[i] = testing.AllocsPerRun(10, func() { rt.keys.Fingerprint(text, false) }) //nolint:errcheck
+	}
+	t.Logf("repeat ring key allocations: %.0f for 4 equations, %.0f for 2,000", allocs[0], allocs[1])
+	if allocs[1] > allocs[0] || allocs[1] > 4 {
+		t.Errorf("repeat ring key allocations: %.0f for 4 equations, %.0f for 2,000 (limit: no more, and at most 4)",
+			allocs[0], allocs[1])
+	}
 }

@@ -11,7 +11,8 @@ import (
 // field is optional. Request budgets are mapped onto sufsat.Options and then
 // clamped to the server's configured ceilings (Config.Limits), so a request
 // can tighten the server's policy but never exceed it; the clamped field
-// names are echoed in Response.Clamped. See docs/FORMATS.md for the schema.
+// names are echoed in Response.Clamped. Unknown fields are ignored. See
+// docs/FORMATS.md for the schema.
 type Request struct {
 	// Formula is the input formula: SUF s-expression syntax by default,
 	// SMT-LIB v2 (QF_IDL/QF_UFIDL) when SMT2 is set. An SMT2 request is
@@ -52,12 +53,6 @@ type Request struct {
 	// NoCache bypasses the verdict cache for this request: no lookup, no
 	// store, no single-flight join. The verdict is computed from scratch.
 	NoCache bool `json:"no_cache,omitempty"`
-	// Fingerprint is a precomputed canonical fingerprint of the decided
-	// formula (the router fills it after its own canonicalization). The
-	// server uses it only when Config.TrustFingerprint is set — a deployment
-	// statement that only the router reaches this backend — and otherwise
-	// recomputes; an untrusted or malformed value is ignored.
-	Fingerprint string `json:"fingerprint,omitempty"`
 	// Traceparent is the distributed-trace context, transported as the
 	// "traceparent" HTTP header rather than in the JSON body (the client and
 	// the router fill it; the server reads the header). Format in
@@ -108,7 +103,7 @@ type Response struct {
 	// concurrent identical request's single-flight) instead of a fresh solve.
 	Cached bool `json:"cached,omitempty"`
 	// Fingerprint is the canonical fingerprint of the decided formula, when
-	// the cache layer computed (or trusted) one.
+	// the cache layer keyed the request.
 	Fingerprint string `json:"fingerprint,omitempty"`
 	// Stats is a compact measurement block for definitive answers.
 	Stats *RespStats `json:"stats,omitempty"`

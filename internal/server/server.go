@@ -104,11 +104,6 @@ type Config struct {
 	// CacheBytes bounds the cache's estimated resident bytes (0 =
 	// DefaultCacheBytes; negative = unbounded).
 	CacheBytes int64
-	// TrustFingerprint accepts the request's precomputed fingerprint as the
-	// cache key instead of recanonicalizing. Enable only when every client is
-	// trusted to compute it honestly (the sufrouter deployment), since a
-	// forged fingerprint could poison the cache across formulas.
-	TrustFingerprint bool
 	// MaxBatch bounds the item count of one /v1/decide/batch request
 	// (0 = 64).
 	MaxBatch int
@@ -194,7 +189,10 @@ type Server struct {
 	slos     *slo.Engine
 	profiles *obs.ProfileStore
 
+	// cache is the verdict cache and keys maps request bytes to its keys;
+	// both are nil when the cache is off.
 	cache *Cache
+	keys  *KeyMemo
 
 	queue chan *task
 	mu    sync.Mutex // guards draining and the queue close
@@ -263,6 +261,7 @@ func New(cfg Config) *Server {
 	}
 	if !cfg.NoCache {
 		s.cache = NewCache(cfg.CacheEntries, cfg.CacheBytes)
+		s.keys = NewKeyMemo()
 		s.metrics.RegisterCache(func() obs.CacheCounters {
 			st := s.cache.Stats()
 			return obs.CacheCounters{
@@ -816,21 +815,6 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	respond(resp)
 }
 
-// validFingerprint reports whether s looks like a canonical fingerprint
-// (64 lowercase hex digits) and is therefore acceptable as a trusted key.
-func validFingerprint(s string) bool {
-	if len(s) != 64 {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
 // cachedResponse builds the response for a verdict served from the cache.
 // The model rides along only for the identical formula source — a cached
 // model's symbol names do not transfer to an alpha-variant.
@@ -887,27 +871,6 @@ func cacheSnapshot(reqID, traceID, parentSpan string, e *CacheEntry, join bool) 
 	return snap.Finish(rec)
 }
 
-// DecidedFormula parses a request's formula into a fresh builder and returns
-// the formula the server decides: the input itself, or for an SMT2 request
-// its negation, since a script is satisfiable iff the negation of its
-// assertions is not valid. The fingerprint of this formula keys the verdict
-// cache, and the router keys its ring with the same function, so the two
-// keys are equal and a sat-check never shares an entry with a validity check
-// of the same text.
-func DecidedFormula(formula string, smt2 bool) (sufsat.Formula, error) {
-	b := sufsat.NewBuilder()
-	if !smt2 {
-		return b.Parse(formula)
-	}
-	f, err := b.ParseSMTLIB(formula)
-	if err != nil {
-		return sufsat.Formula{}, err
-	}
-	// "invalid" then means satisfiable, and the model satisfies the
-	// assertions.
-	return f.Not(), nil
-}
-
 // decide runs one decoded request end to end: validate and parse, verdict
 // cache (lookup, then single-flight), admission control, worker solve. It is
 // the shared engine of POST /decide and POST /v1/decide/batch. A nil return
@@ -925,11 +888,23 @@ func (s *Server) decide(ctx context.Context, req *Request, reqID, traceID, paren
 	}
 	// Parsing runs before admission: malformed bytes must never cost a queue
 	// slot (and must never kill the server — the parsers return errors,
-	// enforced by the FuzzParse corpora).
-	f, err := DecidedFormula(req.Formula, req.SMT2)
-	if err != nil {
-		s.probe.Malformed()
-		return malformed(fmt.Sprintf("parse: %v", err))
+	// enforced by the FuzzParse corpora). With the cache on, bytes the key
+	// memo holds are not parsed here: they parsed before, and their DAG is
+	// built below only if the cache cannot answer.
+	useCache := s.cache != nil && !req.NoCache
+	var mk memoKey
+	var fp string
+	if useCache {
+		mk = keyOf(req.Formula, req.SMT2)
+		fp, _ = s.keys.get(mk)
+	}
+	var f sufsat.Formula
+	parsed := fp == ""
+	if parsed {
+		if f, err = DecidedFormula(req.Formula, req.SMT2); err != nil {
+			s.probe.Malformed()
+			return malformed(fmt.Sprintf("parse: %v", err))
+		}
 	}
 
 	opts := req.options(method)
@@ -943,18 +918,15 @@ func (s *Server) decide(ctx context.Context, req *Request, reqID, traceID, paren
 
 	// Verdict cache. The fingerprint keys the decided formula (negation
 	// included for SMT2 requests, so a sat-check can never collide with a
-	// validity check over the same text). The router precomputes it; the
-	// server trusts that only under Config.TrustFingerprint. A cache-served
-	// want_telemetry request gets a synthesized snapshot (a request span with
-	// a cache child) — the verdict had no solve, but the fleet trace still
-	// needs the hop accounted for.
-	var fp string
+	// validity check over the same text); the key memo remembers it for
+	// these exact bytes. A cache-served want_telemetry request gets a
+	// synthesized snapshot (a request span with a cache child) — the verdict
+	// had no solve, but the fleet trace still needs the hop accounted for.
 	var fl *Flight
-	if s.cache != nil && !req.NoCache {
-		if s.cfg.TrustFingerprint && validFingerprint(req.Fingerprint) {
-			fp = req.Fingerprint
-		} else {
+	if useCache {
+		if fp == "" {
 			fp = f.Fingerprint()
+			s.keys.put(mk, fp)
 		}
 		lookupStart := time.Now()
 		if e, ok := s.cache.Get(fp, req.Formula, req.WantModel); ok {
@@ -1000,6 +972,14 @@ func (s *Server) decide(ctx context.Context, req *Request, reqID, traceID, paren
 		} else {
 			// Leader: whatever happens below, the followers must be released.
 			defer fl.Abort()
+		}
+	}
+
+	if !parsed {
+		// A memo hit the cache could not answer: the worker needs the DAG.
+		if f, err = DecidedFormula(req.Formula, req.SMT2); err != nil {
+			s.probe.Malformed()
+			return malformed(fmt.Sprintf("parse: %v", err))
 		}
 	}
 

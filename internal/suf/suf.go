@@ -128,6 +128,21 @@ func NewBuilder() *Builder {
 	return b
 }
 
+// reserve presizes both hash-consing maps for n entries when the builder
+// holds only its two constants, so filling a fresh builder does not grow
+// them by rehashing. Node IDs are unaffected.
+func (b *Builder) reserve(n int) {
+	if b.nextID != 2 || n <= 0 {
+		return
+	}
+	b.ints = make(map[consKey]*IntExpr, n)
+	bools := make(map[consKey]*BoolExpr, n)
+	for k, e := range b.bools {
+		bools[k] = e
+	}
+	b.bools = bools
+}
+
 // consInt returns the node keyed k, calling mk to allocate it (and handing
 // out the next ID) only when the builder has none yet.
 func (b *Builder) consInt(k consKey, mk func() *IntExpr) *IntExpr {
