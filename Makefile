@@ -65,7 +65,7 @@ race:
 bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkSolve -benchtime=1x ./internal/sat
 	$(GO) test -run=NONE -bench='BenchmarkParse|BenchmarkFingerprint' -benchtime=1x ./internal/suf
-	$(GO) test -run=NONE -bench=BenchmarkDecideInvariant -benchtime=1x ./internal/core
+	$(GO) test -run=NONE -bench='BenchmarkDecideInvariant|BenchmarkDecideHybrid' -benchtime=1x ./internal/core
 	$(GO) test -run=NONE -bench=BenchmarkCacheHit -benchtime=1x ./internal/server
 
 # fuzz-smoke fuzzes the formula front end that every /decide request goes

@@ -3,7 +3,7 @@ package router
 import (
 	"context"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,17 +47,18 @@ func (s MemberState) String() string {
 // latWindow is a fixed-size sliding window of observed attempt latencies,
 // the sample the hedge delay's p95 is derived from. Safe for concurrent use.
 type latWindow struct {
-	mu   sync.Mutex
-	buf  []time.Duration
-	n    int // filled entries
-	next int // ring cursor
+	mu     sync.Mutex
+	buf    []time.Duration
+	sorted []time.Duration // Quantile's scratch copy of buf
+	n      int             // filled entries
+	next   int             // ring cursor
 }
 
 func newLatWindow(size int) *latWindow {
 	if size <= 0 {
 		size = 256
 	}
-	return &latWindow{buf: make([]time.Duration, size)}
+	return &latWindow{buf: make([]time.Duration, size), sorted: make([]time.Duration, size)}
 }
 
 // Observe records one successful attempt's latency.
@@ -72,23 +73,19 @@ func (w *latWindow) Observe(d time.Duration) {
 }
 
 // Quantile returns the q-quantile (q in [0,1]) of the window, or 0 when the
-// window is empty.
+// window is empty: the element at index int(q·(n−1)) of the n filled
+// entries in ascending order, sorted under the lock in the window's own
+// scratch buffer.
 func (w *latWindow) Quantile(q float64) time.Duration {
 	w.mu.Lock()
-	sample := make([]time.Duration, w.n)
-	copy(sample, w.buf[:w.n])
-	w.mu.Unlock()
-	if len(sample) == 0 {
+	defer w.mu.Unlock()
+	if w.n == 0 {
 		return 0
 	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i] < sample[j] })
-	idx := int(q * float64(len(sample)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sample) {
-		idx = len(sample) - 1
-	}
+	sample := w.sorted[:w.n]
+	copy(sample, w.buf[:w.n])
+	slices.Sort(sample)
+	idx := min(max(int(q*float64(w.n-1)), 0), w.n-1)
 	return sample[idx]
 }
 

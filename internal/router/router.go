@@ -571,7 +571,16 @@ func (rt *Router) handleDecide(w http.ResponseWriter, r *http.Request) {
 	rt.reqWG.Add(1)
 	defer rt.reqWG.Done()
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxRequestBytes+1))
+	// A body of known length within the limit is read into one buffer of
+	// that size; any other through a reader that stops one byte past it.
+	var body []byte
+	var err error
+	if n := r.ContentLength; n > 0 && n <= rt.cfg.MaxRequestBytes {
+		body = make([]byte, n)
+		_, err = io.ReadFull(r.Body, body)
+	} else {
+		body, err = io.ReadAll(io.LimitReader(r.Body, rt.cfg.MaxRequestBytes+1))
+	}
 	if err != nil {
 		rt.malformed(w, obs.ResolveRequestID(hdrID, ""), "read request body: "+err.Error(), start)
 		return

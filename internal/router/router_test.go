@@ -1,11 +1,13 @@
 package router
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -490,5 +492,101 @@ func TestRingKeyRepeatAllocs(t *testing.T) {
 	if allocs[1] > allocs[0] || allocs[1] > 4 {
 		t.Errorf("repeat ring key allocations: %.0f for 4 equations, %.0f for 2,000 (limit: no more, and at most 4)",
 			allocs[0], allocs[1])
+	}
+}
+
+// rawPost sends POST /decide over its own connection: with a Content-Length
+// header of contentLength, or chunked when contentLength is negative, then
+// the body bytes. When the body falls short of contentLength it then closes
+// its write side, so the peer reads a truncated body. It returns the status
+// code and the response body.
+func rawPost(t *testing.T, base string, contentLength int, body string) (int, string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	var req strings.Builder
+	req.WriteString("POST /decide HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\nConnection: close\r\n")
+	if contentLength < 0 {
+		fmt.Fprintf(&req, "Transfer-Encoding: chunked\r\n\r\n%x\r\n%s\r\n0\r\n\r\n", len(body), body)
+	} else {
+		fmt.Fprintf(&req, "Content-Length: %d\r\n\r\n%s", contentLength, body)
+	}
+	if _, err := io.WriteString(conn, req.String()); err != nil {
+		t.Fatal(err)
+	}
+	if contentLength > len(body) {
+		if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(out)
+}
+
+// TestRequestBodyLengths pins the answers of a real backend and of the
+// router in front of it, both limited to 512 bytes, to /decide bodies of
+// every shape: a known length is read at that length, an unknown one
+// (chunked) as it arrives, and an oversize or truncated body is refused the
+// same way either way.
+func TestRequestBodyLengths(t *testing.T) {
+	const limit = 512
+	s := server.New(server.Config{MaxRequestBytes: limit})
+	backend := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		backend.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		s.Shutdown(ctx) //nolint:errcheck
+	})
+	rt, err := New(Config{Backends: []string{backend.URL}, MaxRequestBytes: limit, HedgeDelay: -1,
+		HealthInterval: time.Hour, Registry: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(rt.Handler())
+	t.Cleanup(func() {
+		front.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		rt.Shutdown(ctx) //nolint:errcheck
+	})
+
+	ok := `{"formula":"(= x x)"}`
+	big := `{"formula":"(= x x)","request_id":"` + strings.Repeat("r", limit) + `"}`
+	for _, tier := range []struct {
+		name, base, tooLarge, truncated string
+	}{
+		{"backend", backend.URL, "request body too large", "read body: unexpected EOF"},
+		{"router", front.URL, fmt.Sprintf("request body exceeds %d bytes", limit), "read request body: unexpected EOF"},
+	} {
+		for _, tc := range []struct {
+			name          string
+			contentLength int
+			body          string
+			code          int
+			want          string
+		}{
+			{"known length", len(ok), ok, http.StatusOK, `"status":"valid"`},
+			{"chunked", -1, ok, http.StatusOK, `"status":"valid"`},
+			{"known length over the limit", len(big), big, http.StatusBadRequest, tier.tooLarge},
+			{"chunked over the limit", -1, big, http.StatusBadRequest, tier.tooLarge},
+			{"truncated", len(ok) + 10, ok, http.StatusBadRequest, tier.truncated},
+		} {
+			code, body := rawPost(t, tier.base, tc.contentLength, tc.body)
+			if code != tc.code || !strings.Contains(body, tc.want) {
+				t.Errorf("%s, %s: HTTP %d %s, want %d with %q", tier.name, tc.name, code, strings.TrimSpace(body), tc.code, tc.want)
+			}
+		}
 	}
 }

@@ -15,6 +15,10 @@ type ClauseRef int32
 // level-0 assumption reasons).
 const CRefUndef ClauseRef = -1
 
+// binFlag marks the watch entries of a binary clause: it is the sign bit of
+// the entry's ClauseRef, free because watch entries never hold CRefUndef.
+const binFlag ClauseRef = math.MinInt32
+
 // Arena clause layout, in []Lit words starting at the ClauseRef offset:
 //
 //	word 0: header — size<<2 | learnt<<1 | relocated
@@ -40,14 +44,15 @@ type clauseArena struct {
 
 // alloc appends a clause and returns its reference.
 func (ca *clauseArena) alloc(lits []Lit, learnt bool) ClauseRef {
-	r := ClauseRef(len(ca.data))
+	r := len(ca.data)
 	hdr := Lit(len(lits)) << hdrSizeShft
 	if learnt {
 		hdr |= flagLearnt
 	}
-	ca.data = append(ca.data, hdr, 0)
-	ca.data = append(ca.data, lits...)
-	return r
+	ca.data = grow(ca.data, hdrWords+len(lits))[:r+hdrWords+len(lits)]
+	ca.data[r], ca.data[r+1] = hdr, 0
+	copy(ca.data[r+hdrWords:], lits)
+	return ClauseRef(r)
 }
 
 // size returns the number of literals of the clause at r.
@@ -118,7 +123,7 @@ func (s *Solver) garbageCollect() {
 	for l := range s.watches {
 		ws := s.watches[l]
 		for i := range ws {
-			ws[i].cref = move(ws[i].cref)
+			ws[i].cref = move(ws[i].cref&^binFlag) | ws[i].cref&binFlag
 		}
 	}
 	for _, l := range s.trail {

@@ -14,9 +14,10 @@ import (
 // as unit clauses, preserving equisatisfiability.
 func (s *Solver) WriteDIMACS(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	nVars := s.NumVars()
 	nUnits := 0
-	for v := range s.assigns {
-		if s.assigns[v] != lUndef && s.level(v) == 0 {
+	for v := range nVars {
+		if s.vals[PosLit(v)] != lUndef && s.level(v) == 0 {
 			nUnits++
 		}
 	}
@@ -24,13 +25,13 @@ func (s *Solver) WriteDIMACS(w io.Writer) error {
 	if s.unsatFlag {
 		nClauses++ // the empty clause
 	}
-	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", len(s.assigns), nClauses); err != nil {
+	if _, err := fmt.Fprintf(bw, "p cnf %d %d\n", nVars, nClauses); err != nil {
 		return err
 	}
-	for v := range s.assigns {
-		if s.assigns[v] != lUndef && s.level(v) == 0 {
+	for v := range nVars {
+		if val := s.vals[PosLit(v)]; val != lUndef && s.level(v) == 0 {
 			lit := v + 1
-			if s.assigns[v] == lFalse {
+			if val == lFalse {
 				lit = -lit
 			}
 			if _, err := fmt.Fprintf(bw, "%d 0\n", lit); err != nil {

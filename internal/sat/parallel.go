@@ -129,15 +129,17 @@ func (s *Solver) importClause(lits []Lit) Status {
 // clone returns an independent deep copy of the solver: same clauses,
 // assignment trail, activities and parameters, sharing no mutable state.
 // Thanks to the arena representation this is a few flat copies plus the
-// per-literal watch lists.
+// per-literal watch lists. The problem clauses are attached first, so the
+// copy is fully attached.
 func (s *Solver) clone() *Solver {
+	s.attachPending()
 	c := &Solver{
 		ca:      clauseArena{data: append([]Lit(nil), s.ca.data...), wasted: s.ca.wasted},
 		clauses: append([]ClauseRef(nil), s.clauses...),
 		learnts: append([]ClauseRef(nil), s.learnts...),
 		watches: make([][]watcher, len(s.watches)),
 
-		assigns:  append([]lbool(nil), s.assigns...),
+		vals:     append([]lbool(nil), s.vals...),
 		vardata:  append([]varData(nil), s.vardata...),
 		polarity: append([]bool(nil), s.polarity...),
 		activity: append([]float64(nil), s.activity...),
@@ -146,6 +148,7 @@ func (s *Solver) clone() *Solver {
 		trail:    append([]Lit(nil), s.trail...),
 		trailLim: append([]int(nil), s.trailLim...),
 		qhead:    s.qhead,
+		attached: s.attached,
 
 		varInc:      s.varInc,
 		varDecay:    s.varDecay,

@@ -8,7 +8,10 @@
 // than individual heap allocations: watchers, reasons and the learnt database
 // are int32 references, so propagation walks contiguous memory and cloning a
 // solver for the parallel portfolio (SolveParallel) is a handful of copy
-// calls.
+// calls. A binary clause is resolved inside its watch entry without reading
+// the arena, assignments are stored per literal, and AddClause only stores a
+// problem clause: its watchers are attached in bulk before the next
+// propagation.
 //
 // It is the substrate standing in for the zChaff solver used in the paper's
 // experiments. The solver exposes the statistics the paper reports
@@ -18,6 +21,7 @@ package sat
 import (
 	"context"
 	"errors"
+	"slices"
 
 	"sufsat/internal/obs"
 )
@@ -64,13 +68,6 @@ const (
 	lFalse lbool = -1
 	lUndef lbool = 0
 )
-
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
-	}
-	return lFalse
-}
 
 // Status is the result of a Solve call.
 type Status int
@@ -147,7 +144,9 @@ func (c StopCause) String() string {
 }
 
 // watcher is one entry of a literal's watch list. Satisfied blockers skip the
-// clause without touching its literals; cref addresses the clause arena.
+// clause without touching its literals; cref addresses the clause arena. The
+// entry of a binary clause carries binFlag in cref and the clause's other
+// literal as its blocker, which is all propagation needs to know about it.
 type watcher struct {
 	cref    ClauseRef
 	blocker Lit
@@ -169,7 +168,7 @@ type Solver struct {
 	learnts []ClauseRef
 	watches [][]watcher // indexed by Lit
 
-	assigns  []lbool // indexed by Var
+	vals     []lbool // indexed by Lit: the value of each literal
 	vardata  []varData
 	polarity []bool // saved phase, true = last value was false (MiniSat style: sign to pick)
 	activity []float64
@@ -210,6 +209,16 @@ type Solver struct {
 	stats Stats
 
 	addBuf []Lit // AddClause's simplification scratch
+
+	// attached counts the problem clauses whose watchers are attached: AddClause
+	// only stores a clause, and attachPending watches clauses[attached:] before
+	// the next propagation. attachCnt (indexed by Lit, all zero between calls)
+	// sizes each watch list for one growth per pass.
+	attached  int
+	attachCnt []int32
+
+	learntBuf []Lit // analyze's learnt clause, reused per conflict
+	toClear   []Var // analyze's seen marks to reset
 
 	// Clause exchange (parallel workers only; nil otherwise).
 	ex       *exchange
@@ -253,31 +262,36 @@ func New() *Solver {
 
 // NewVar introduces a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
-	v := len(s.assigns)
-	s.assigns = append(s.assigns, lUndef)
-	s.vardata = append(s.vardata, varData{reason: CRefUndef})
-	s.polarity = append(s.polarity, true)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, 0)
-	s.watches = append(s.watches, nil, nil)
+	v := len(s.vardata)
+	s.vals = push(s.vals, lUndef, lUndef)
+	s.vardata = push(s.vardata, varData{reason: CRefUndef})
+	s.polarity = push(s.polarity, true)
+	s.activity = push(s.activity, 0)
+	s.seen = push(s.seen, 0)
+	s.watches = push(s.watches, nil, nil)
 	s.order.insert(v)
-	s.stats.Vars = len(s.assigns)
+	s.stats.Vars = v + 1
 	return v
 }
+
+// grow returns xs with room for n more elements. Unlike append, whose growth
+// falls to 1.25x for large slices, it at least doubles the capacity when it
+// must reallocate, so a solver built clause by clause copies each of its
+// arrays a logarithmic number of times.
+func grow[T any](xs []T, n int) []T {
+	if len(xs)+n <= cap(xs) {
+		return xs
+	}
+	return slices.Grow(xs, max(2*cap(xs), len(xs)+n)-len(xs))
+}
+
+// push appends ys to xs through grow.
+func push[T any](xs []T, ys ...T) []T { return append(grow(xs, len(ys)), ys...) }
 
 // NumVars returns the number of variables created so far.
-func (s *Solver) NumVars() int { return len(s.assigns) }
+func (s *Solver) NumVars() int { return len(s.vardata) }
 
-func (s *Solver) value(l Lit) lbool {
-	v := s.assigns[l.Var()]
-	if v == lUndef {
-		return lUndef
-	}
-	if l.Neg() {
-		return -v
-	}
-	return v
-}
+func (s *Solver) value(l Lit) lbool { return s.vals[l] }
 
 func (s *Solver) level(v Var) int { return int(s.vardata[v].level) }
 
@@ -330,18 +344,50 @@ outer:
 		}
 		return true
 	}
-	r := s.ca.alloc(out, false)
-	s.clauses = append(s.clauses, r)
+	s.clauses = push(s.clauses, s.ca.alloc(out, false))
 	s.stats.Clauses = len(s.clauses)
-	s.attach(r)
 	return true
 }
 
+// attach watches the first two literals of the clause at r.
 func (s *Solver) attach(r ClauseRef) {
 	lits := s.ca.lits(r)
 	l0, l1 := lits[0], lits[1]
-	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{r, l1})
-	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{r, l0})
+	w := r
+	if len(lits) == 2 {
+		w |= binFlag
+	}
+	s.watches[l0.Not()] = append(s.watches[l0.Not()], watcher{w, l1})
+	s.watches[l1.Not()] = append(s.watches[l1.Not()], watcher{w, l0})
+}
+
+// attachPending attaches the problem clauses stored since the last call, in
+// clause order, so every watch list ends as if each clause had been attached
+// when it was added; a first pass counts each list's new watchers so that it
+// grows at most once.
+func (s *Solver) attachPending() {
+	pending := s.clauses[s.attached:]
+	s.attached = len(s.clauses)
+	if len(s.attachCnt) < len(s.watches) {
+		s.attachCnt = make([]int32, max(2*len(s.attachCnt), len(s.watches)))
+	}
+	cnt := s.attachCnt
+	for _, r := range pending {
+		lits := s.ca.lits(r)
+		cnt[lits[0].Not()]++
+		cnt[lits[1].Not()]++
+	}
+	for _, r := range pending {
+		for _, l := range s.ca.lits(r)[:2] {
+			if n := cnt[l.Not()]; n > 0 {
+				s.watches[l.Not()] = grow(s.watches[l.Not()], int(n))
+				cnt[l.Not()] = 0
+			}
+		}
+	}
+	for _, r := range pending {
+		s.attach(r)
+	}
 }
 
 func (s *Solver) detach(r ClauseRef) {
@@ -353,7 +399,7 @@ func (s *Solver) detach(r ClauseRef) {
 func (s *Solver) removeWatch(l Lit, r ClauseRef) {
 	ws := s.watches[l]
 	for i := range ws {
-		if ws[i].cref == r {
+		if ws[i].cref&^binFlag == r {
 			ws[i] = ws[len(ws)-1]
 			s.watches[l] = ws[:len(ws)-1]
 			return
@@ -362,45 +408,69 @@ func (s *Solver) removeWatch(l Lit, r ClauseRef) {
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from ClauseRef) {
-	v := l.Var()
-	s.assigns[v] = boolToLbool(!l.Neg())
-	s.vardata[v] = varData{reason: from, level: int32(s.decisionLevel())}
+	s.vals[l] = lTrue
+	s.vals[l.Not()] = lFalse
+	s.vardata[l.Var()] = varData{reason: from, level: int32(s.decisionLevel())}
 	s.trail = append(s.trail, l)
 }
 
 // propagate performs unit propagation; it returns a conflicting clause or
-// CRefUndef.
+// CRefUndef. It first attaches the problem clauses AddClause stored since
+// the last propagation.
 func (s *Solver) propagate() ClauseRef {
+	if s.attached < len(s.clauses) {
+		s.attachPending()
+	}
+	vals := s.vals
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		s.stats.Propagations++
+		np := p.Not()
 		ws := s.watches[p]
 		n := 0
+		confl := CRefUndef
+		i := 0
 	nextWatcher:
-		for i := 0; i < len(ws); i++ {
+		for ; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			bv := vals[w.blocker]
+			if bv == lTrue {
 				ws[n] = w
 				n++
+				continue
+			}
+			if w.cref&binFlag != 0 {
+				// Binary clause: the blocker, its other literal, is unit or
+				// false. A conflict is stored as [blocker, ¬p], the order
+				// analyze reads it in.
+				ws[n] = w
+				n++
+				r := w.cref &^ binFlag
+				if bv == lFalse {
+					lits := s.ca.lits(r)
+					lits[0], lits[1] = w.blocker, np
+					confl = r
+					break
+				}
+				s.uncheckedEnqueue(w.blocker, r)
 				continue
 			}
 			r := w.cref
 			lits := s.ca.lits(r)
 			// Make sure the false literal (¬p) is at position 1.
-			np := p.Not()
 			if lits[0] == np {
 				lits[0], lits[1] = lits[1], np
 			}
 			first := lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
+			if first != w.blocker && vals[first] == lTrue {
 				ws[n] = watcher{r, first}
 				n++
 				continue
 			}
 			// Look for a new literal to watch.
 			for k := 2; k < len(lits); k++ {
-				if s.value(lits[k]) != lFalse {
+				if vals[lits[k]] != lFalse {
 					lits[1], lits[k] = lits[k], lits[1]
 					nl := lits[1].Not()
 					s.watches[nl] = append(s.watches[nl], watcher{r, first})
@@ -410,19 +480,22 @@ func (s *Solver) propagate() ClauseRef {
 			// Clause is unit or conflicting.
 			ws[n] = watcher{r, first}
 			n++
-			if s.value(first) == lFalse {
-				// Conflict: copy remaining watchers back and bail.
-				for i++; i < len(ws); i++ {
-					ws[n] = ws[i]
-					n++
-				}
-				s.watches[p] = ws[:n]
-				s.qhead = len(s.trail)
-				return r
+			if vals[first] == lFalse {
+				confl = r
+				break
 			}
 			s.uncheckedEnqueue(first, r)
 		}
-		s.watches[p] = ws[:n]
+		if confl != CRefUndef {
+			// Copy the remaining watchers back and bail.
+			n += copy(ws[n:], ws[i+1:])
+			s.watches[p] = ws[:n]
+			s.qhead = len(s.trail)
+			return confl
+		}
+		if n < len(ws) {
+			s.watches[p] = ws[:n]
+		}
 	}
 	return CRefUndef
 }
@@ -433,9 +506,10 @@ func (s *Solver) cancelUntil(level int) {
 	}
 	lim := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= lim; i-- {
-		v := s.trail[i].Var()
-		s.assigns[v] = lUndef
-		s.polarity[v] = s.trail[i].Neg()
+		l := s.trail[i]
+		v := l.Var()
+		s.vals[l], s.vals[l.Not()] = lUndef, lUndef
+		s.polarity[v] = l.Neg()
 		if !s.order.inHeap(v) {
 			s.order.insert(v)
 		}
@@ -470,22 +544,23 @@ func (s *Solver) claBump(r ClauseRef) {
 }
 
 // analyze performs first-UIP conflict analysis and returns the learnt clause
-// (asserting literal first) and the backtrack level.
+// (asserting literal first) and the backtrack level. The clause lives in a
+// buffer the next analyze reuses.
 func (s *Solver) analyze(confl ClauseRef) ([]Lit, int) {
-	learnt := make([]Lit, 1, 8) // learnt[0] reserved for the asserting literal
-	toClear := make([]Var, 0, 16)
+	learnt := append(s.learntBuf[:0], LitUndef) // learnt[0] reserved for the asserting literal
+	toClear := s.toClear[:0]
 	pathC := 0
 	var p Lit = LitUndef
 	idx := len(s.trail) - 1
 
 	for {
 		s.claBump(confl)
-		clits := s.ca.lits(confl)
-		start := 0
-		if p != LitUndef {
-			start = 1
-		}
-		for _, q := range clits[start:] {
+		for _, q := range s.ca.lits(confl) {
+			// Skip the literal confl implied, by value: a binary reason's
+			// implied literal may sit at either position.
+			if q == p {
+				continue
+			}
 			v := q.Var()
 			if s.seen[v] == 0 && s.level(v) > 0 {
 				s.varBump(v)
@@ -557,6 +632,7 @@ func (s *Solver) analyze(confl ClauseRef) ([]Lit, int) {
 	for _, v := range toClear {
 		s.seen[v] = 0
 	}
+	s.learntBuf, s.toClear = learnt, toClear
 	return learnt, btLevel
 }
 
@@ -576,13 +652,13 @@ func (s *Solver) pickBranchLit() Lit {
 	if s.rndFreq > 0 && s.rndState != 0 &&
 		float64(s.nextRand()>>11)/(1<<53) < s.rndFreq && !s.order.empty() {
 		v := s.order.heap[int(s.nextRand()%uint64(len(s.order.heap)))]
-		if s.assigns[v] == lUndef {
+		if s.vals[PosLit(v)] == lUndef {
 			return MkLit(v, s.polarity[v])
 		}
 	}
 	for !s.order.empty() {
 		v := s.order.removeMin()
-		if s.assigns[v] == lUndef {
+		if s.vals[PosLit(v)] == lUndef {
 			return MkLit(v, s.polarity[v])
 		}
 	}
@@ -820,7 +896,7 @@ func (s *Solver) solve() Status {
 		return Unsat
 	}
 	for _, p := range s.assumptions {
-		if int(p.Var()) >= len(s.assigns) {
+		if int(p.Var()) >= len(s.vardata) {
 			panic("sat: assumption literal names an unknown variable")
 		}
 	}
@@ -860,9 +936,9 @@ func (s *Solver) solve() Status {
 		spent += n
 		switch st {
 		case Sat:
-			s.model = make([]bool, len(s.assigns))
-			for v := range s.assigns {
-				s.model[v] = s.assigns[v] == lTrue
+			s.model = make([]bool, len(s.vardata))
+			for v := range s.model {
+				s.model[v] = s.vals[PosLit(v)] == lTrue
 			}
 			s.cancelUntil(0)
 			return Sat
@@ -918,9 +994,9 @@ func (h *heap) inHeap(v Var) bool { return v < len(h.indices) && h.indices[v] !=
 
 func (h *heap) insert(v Var) {
 	for v >= len(h.indices) {
-		h.indices = append(h.indices, 0)
+		h.indices = push(h.indices, 0)
 	}
-	h.heap = append(h.heap, v)
+	h.heap = push(h.heap, v)
 	h.indices[v] = len(h.heap)
 	h.percolateUp(len(h.heap) - 1)
 }

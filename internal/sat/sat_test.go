@@ -380,3 +380,121 @@ func TestReduceDBKeepsCorrectness(t *testing.T) {
 		t.Skip("instance solved before the reduction threshold; nothing to check")
 	}
 }
+
+// TestInterleavedCallsAgainstBruteForce drives each solver through a random
+// sequence of AddClause batches (units included) and Solve, SolveAssume,
+// SolveParallel and SolveAssumeParallel calls, and checks every verdict and
+// model against brute force over the clauses added so far plus the
+// assumptions. AddClause only stores a clause, so each call meets clauses
+// whose watchers are still pending on a different path: a level-0 unit,
+// the solve loop, or the portfolio's clone.
+func TestInterleavedCallsAgainstBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cases := 150
+	if testing.Short() {
+		cases = 40
+	}
+	randLit := func(nVars int) Lit { return MkLit(rng.Intn(nVars), rng.Intn(2) == 0) }
+	for i := 0; i < cases; i++ {
+		nVars := 4 + rng.Intn(9)
+		s := newSolverWithVars(nVars)
+		var clauses [][]Lit
+		for step := 0; step < 10; step++ {
+			for range rng.Intn(nVars) {
+				// One clause in eight is a unit, three are binary.
+				w := 3
+				switch r := rng.Intn(8); {
+				case r == 0:
+					w = 1
+				case r <= 3:
+					w = 2
+				}
+				c := make([]Lit, w)
+				for k := range c {
+					c[k] = randLit(nVars)
+				}
+				clauses = append(clauses, c)
+				if !s.AddClause(c...) && bruteForceSat(nVars, clauses) {
+					t.Fatalf("case %d step %d: AddClause(%v) refuted a satisfiable CNF", i, step, c)
+				}
+			}
+			var assumps []Lit
+			if rng.Intn(2) == 0 {
+				for range 1 + rng.Intn(3) {
+					assumps = append(assumps, randLit(nVars))
+				}
+			}
+			var st Status
+			path := rng.Intn(3)
+			switch path {
+			case 0:
+				st = s.SolveAssume(assumps...)
+			case 1:
+				st = s.SolveAssumeParallel(context.Background(), 2+rng.Intn(2), assumps...)
+			default:
+				st = s.SolveAssumeParallel(context.Background(), 1, assumps...)
+			}
+			query := append([][]Lit(nil), clauses...)
+			for _, a := range assumps {
+				query = append(query, []Lit{a})
+			}
+			want := bruteForceSat(nVars, query)
+			if (st == Sat) != want || st == Unknown {
+				t.Fatalf("case %d step %d path %d: %v under %v, brute force wants sat=%v", i, step, path, st, assumps, want)
+			}
+			if st == Sat && !modelSatisfies(s.Model(), query) {
+				t.Fatalf("case %d step %d path %d: model falsifies the clauses or assumptions", i, step, path)
+			}
+		}
+	}
+}
+
+// TestBinaryWatchEntries checks the watch-entry invariant propagation relies
+// on: the entries of a binary clause carry binFlag and the clause's other
+// literal as blocker, those of a longer clause do not carry the flag, and
+// garbageCollect and clone keep both.
+func TestBinaryWatchEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	s := newSolverWithVars(40)
+	for range 160 {
+		c := []Lit{MkLit(rng.Intn(20), rng.Intn(2) == 0), MkLit(20+rng.Intn(20), rng.Intn(2) == 0)}
+		if rng.Intn(2) == 0 {
+			c = append(c, MkLit(rng.Intn(40), rng.Intn(2) == 0))
+		}
+		s.AddClause(c...)
+	}
+	check := func(what string, s *Solver) {
+		t.Helper()
+		entries := 0
+		for l, ws := range s.watches {
+			for _, w := range ws {
+				entries++
+				r := w.cref &^ binFlag
+				lits := s.ca.lits(r)
+				if (w.cref&binFlag != 0) != (len(lits) == 2) {
+					t.Fatalf("%s: entry %+v of a %d-literal clause", what, w, len(lits))
+				}
+				if w.cref&binFlag != 0 {
+					watched := Lit(l).Not()
+					if (lits[0] != watched || lits[1] != w.blocker) && (lits[1] != watched || lits[0] != w.blocker) {
+						t.Fatalf("%s: binary entry %+v in the list of %v for clause %v", what, w, Lit(l), lits)
+					}
+				}
+			}
+		}
+		if entries == 0 {
+			t.Fatalf("%s: no watch entries", what)
+		}
+	}
+	// Before a propagation the clauses are stored but not watched.
+	for _, ws := range s.watches {
+		if len(ws) != 0 {
+			t.Fatal("AddClause attached a clause before any propagation")
+		}
+	}
+	s.Solve()
+	check("after Solve", s)
+	s.garbageCollect()
+	check("after garbageCollect", s)
+	check("clone", s.clone())
+}

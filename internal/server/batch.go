@@ -3,7 +3,6 @@ package server
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -64,7 +63,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, &Response{Status: "error", Error: err.Error(), HTTPStatus: http.StatusInternalServerError})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	body, err := readBody(w, r, s.cfg.MaxRequestBytes)
 	if err != nil {
 		s.probe.Malformed()
 		writeJSON(w, malformed(fmt.Sprintf("read body: %v", err)))

@@ -166,7 +166,7 @@ func (c *Client) Decide(ctx context.Context, req *server.Request) (*server.Respo
 		req.Traceparent = obs.FormatTraceparent(traceID, rootSpan)
 	}
 	start := time.Now()
-	body, err := json.Marshal(req)
+	body, err := encode(req)
 	if err != nil {
 		return nil, fmt.Errorf("client: encode request: %w", err)
 	}
@@ -228,6 +228,20 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// encode is json.Marshal without HTML escaping: a formula's <, > and &
+// travel as themselves instead of as \u003c, \u003e and \u0026, so the
+// receiving decoder copies the formula string out of the body rather than
+// unquoting it into a fresh buffer first.
+func encode(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // DecideOnce performs exactly one attempt: no shed retries, no backoff. It
 // returns the decoded response (any HTTP status) together with the server's
 // Retry-After, so a caller running its own failover policy — the router —
@@ -236,7 +250,7 @@ func (c *Client) DecideOnce(ctx context.Context, req *server.Request) (*server.R
 	if req.RequestID == "" {
 		req.RequestID = obs.NewRequestID()
 	}
-	body, err := json.Marshal(req)
+	body, err := encode(req)
 	if err != nil {
 		return nil, 0, fmt.Errorf("client: encode request: %w", err)
 	}
@@ -376,7 +390,7 @@ func (c *Client) DecideBatch(ctx context.Context, reqs []*server.Request) ([]*se
 	for i, r := range reqs {
 		breq.Items[i] = *r
 	}
-	body, err := json.Marshal(&breq)
+	body, err := encode(&breq)
 	if err != nil {
 		return nil, fmt.Errorf("client: encode batch: %w", err)
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -46,23 +47,29 @@ func handlerPoster(t testing.TB, cfg server.Config) (*server.Server, func(body [
 	}
 }
 
+// requestBody encodes req as the client puts it on the wire: without HTML
+// escaping, so a formula's < and > are sent as themselves.
 func requestBody(t testing.TB, req *server.Request) []byte {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(req); err != nil {
 		t.Fatal(err)
 	}
-	return body
+	return buf.Bytes()
 }
 
 // TestRepeatHitSkipsParse pins the byte-identical repeat path: once a text
 // has been decided, its repeat is keyed from the memo and answered from the
 // verdict cache without a parse, so its allocations do not grow with the
 // formula's DAG (a parse allocates about once per node; lsu-4 has ~2,000
-// nodes).
+// nodes). Its bytes are pinned too: the body is read into one buffer of its
+// Content-Length, and an unescaped formula is copied out of it once.
 func TestRepeatHitSkipsParse(t *testing.T) {
 	_, post := handlerPoster(t, server.Config{Workers: 1, MaxQueue: 8})
 	allocs := map[string]float64{}
+	bytesPer := map[string]float64{}
 	for _, name := range []string{"cvt-1", "lsu-4"} {
 		body := requestBody(t, &server.Request{Formula: suiteText(t, name)})
 		if w := post(body); w.Code != http.StatusOK {
@@ -72,11 +79,25 @@ func TestRepeatHitSkipsParse(t *testing.T) {
 			t.Fatalf("%s: repeat not served from the cache: %s", name, w.Body.String())
 		}
 		allocs[name] = testing.AllocsPerRun(20, func() { post(body) })
+		const runs = 20
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			post(body)
+		}
+		runtime.ReadMemStats(&after)
+		bytesPer[name] = float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	t.Logf("repeat hit allocations: cvt-1 %.0f, lsu-4 %.0f", allocs["cvt-1"], allocs["lsu-4"])
+	t.Logf("repeat hit allocations: cvt-1 %.0f, lsu-4 %.0f; bytes: cvt-1 %.0f, lsu-4 %.0f",
+		allocs["cvt-1"], allocs["lsu-4"], bytesPer["cvt-1"], bytesPer["lsu-4"])
 	if allocs["lsu-4"] > 60 || allocs["lsu-4"] > allocs["cvt-1"]+10 {
 		t.Errorf("repeat hit allocations: lsu-4 %.0f (limit 60), cvt-1 %.0f (lsu-4 limit cvt-1+10)",
 			allocs["lsu-4"], allocs["cvt-1"])
+	}
+	// About 26 KB; reading the body by io.ReadAll, whose buffer grows from
+	// 512 bytes, brings it to about 50 KB.
+	if bytesPer["lsu-4"] > 32<<10 {
+		t.Errorf("a repeat hit of lsu-4 allocates %.0f bytes, want <= %d", bytesPer["lsu-4"], 32<<10)
 	}
 }
 

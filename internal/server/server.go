@@ -788,7 +788,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		respond(&Response{Status: core.Error.String(), Error: err.Error(), HTTPStatus: http.StatusInternalServerError})
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	body, err := readBody(w, r, s.cfg.MaxRequestBytes)
 	if err != nil {
 		s.probe.Malformed()
 		respond(malformed(fmt.Sprintf("read body: %v", err)))
@@ -1103,6 +1103,24 @@ func (s *Server) finishRequest(resp *Response, reqID, traceID string, total time
 		attrs = append(attrs, "error", resp.Error)
 	}
 	s.cfg.Logger.Info("request", attrs...)
+}
+
+// readBody reads a request body of at most limit bytes. A body whose
+// Content-Length is known and within the limit is read into one buffer of
+// that size; any other is read by io.ReadAll, which grows its buffer as the
+// bytes arrive. Either way a body over the limit fails with the
+// *http.MaxBytesError of http.MaxBytesReader and a truncated one with
+// io.ErrUnexpectedEOF.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+	rd := http.MaxBytesReader(w, r.Body, limit)
+	if n := r.ContentLength; n > 0 && n <= limit {
+		body := make([]byte, n)
+		if _, err := io.ReadFull(rd, body); err != nil {
+			return nil, err
+		}
+		return body, nil
+	}
+	return io.ReadAll(rd)
 }
 
 func malformed(msg string) *Response {
