@@ -40,8 +40,11 @@ fmt:
 	out=$$("$$($(GO) env GOROOT)/bin/gofmt" -l $$files) || { echo "fmt: gofmt failed"; exit 1; }; \
 	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
+# vet covers the nested perfledger module too: `go vet ./...` stops at its
+# go.mod, yet it imports internal/server, internal/obs and internal/bench.
 vet:
 	$(GO) vet ./...
+	cd perfledger && $(GO) vet .
 
 build:
 	$(GO) build ./...

@@ -13,7 +13,7 @@
 //	          [-max-inflight 256] [-max-attempts 3]
 //	          [-hedge-delay auto|off|DUR] [-hedge-ratio 0.1] [-hedge-burst 5]
 //	          [-failover-ratio 0.2] [-failover-burst 10]
-//	          [-default-deadline 10s] [-max-deadline 60s]
+//	          [-default-deadline 10s] [-max-deadline 60s] [-max-body BYTES]
 //	          [-drain-timeout 30s] [-slowlog N] [-no-metrics] [-quiet]
 //	          [-no-history] [-history-interval 5s] [-history-slots 768]
 //	          [-slo-fast 5m] [-slo-slow 1h] [-slo-latency-p95 1s]
@@ -26,7 +26,9 @@
 // membership + breaker table with the membership epoch), GET /metrics
 // (sufrouter_* families, docs/FORMATS.md), GET /debug/slowlog (the
 // -slowlog N slowest requests with their merged cross-tier span timelines
-// and routing disposition), and GET/PUT/POST /admin/backends — the
+// and routing disposition), GET /debug/history and GET /debug/profiles
+// (trigger-fired captures: on an SLO burn, and on any request that completes
+// in at least -profile-slow-ms), and GET/PUT/POST /admin/backends — the
 // membership control plane (authenticated by bind: expose the router only
 // on trusted networks).
 //
@@ -54,7 +56,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"os"
@@ -64,7 +66,9 @@ import (
 	"time"
 
 	"sufsat/internal/obs"
+	"sufsat/internal/obs/slo"
 	"sufsat/internal/router"
+	"sufsat/internal/server"
 )
 
 // parseHedgeDelay maps the -hedge-delay spelling onto the Config encoding:
@@ -117,20 +121,10 @@ func main() {
 	maxDeadline := flag.Duration("max-deadline", 60*time.Second, "per-request deadline ceiling")
 	maxBody := flag.Int64("max-body", 1<<20, "request body byte cap")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight requests on SIGTERM")
-	slowlogK := flag.Int("slowlog", 0, "slow-request exemplars kept for /debug/slowlog (0 = default 32)")
 	noMetrics := flag.Bool("no-metrics", false, "disable the /metrics endpoint")
 	quiet := flag.Bool("quiet", false, "suppress lifecycle and failover logging")
-	noHistory := flag.Bool("no-history", false, "disable the metrics history ring, SLO engine and trigger-fired profiling")
-	historyInterval := flag.Duration("history-interval", 0, "metrics history snapshot cadence (0 = 5s)")
-	historySlots := flag.Int("history-slots", 0, "metrics history ring slots (0 = 768)")
-	sloFast := flag.Duration("slo-fast", 0, "SLO fast burn-rate window (0 = 5m)")
-	sloSlow := flag.Duration("slo-slow", 0, "SLO slow burn-rate window (0 = 1h)")
-	sloP95 := flag.Duration("slo-latency-p95", 0, "latency-p95 SLO threshold (0 = 1s)")
-	sloP99 := flag.Duration("slo-latency-p99", 0, "latency-p99 SLO threshold (0 = 4s)")
-	profileDir := flag.String("profile-dir", "", "also spill trigger-fired pprof captures to this directory")
-	profileCPU := flag.Duration("profile-cpu", 0, "CPU profile duration per trigger-fired capture (0 = 1s)")
-	profileGap := flag.Duration("profile-gap", 0, "minimum gap between trigger-fired captures (0 = 60s)")
-	profileSlowMS := flag.Float64("profile-slow-ms", 0, "capture a profile when a slowlog admission exceeds this many ms (0 = off)")
+	var obsCfg server.ObsConfig
+	obsCfg.RegisterFlags(flag.CommandLine, slo.RouterLatencyP95, slo.RouterLatencyP99)
 	flag.Parse()
 
 	var urls []string
@@ -176,25 +170,13 @@ func main() {
 		DefaultTimeout:  *defaultDeadline,
 		MaxTimeout:      *maxDeadline,
 		MaxRequestBytes: *maxBody,
-		SlowLogSize:     *slowlogK,
-
-		NoHistory:          *noHistory,
-		HistoryInterval:    *historyInterval,
-		HistorySlots:       *historySlots,
-		SLOFastWindow:      *sloFast,
-		SLOSlowWindow:      *sloSlow,
-		SLOLatencyP95:      *sloP95,
-		SLOLatencyP99:      *sloP99,
-		ProfileDir:         *profileDir,
-		ProfileCPUDuration: *profileCPU,
-		ProfileMinGap:      *profileGap,
-		ProfileSlowMS:      *profileSlowMS,
+		ObsConfig:       obsCfg,
 	}
 	if !*noMetrics {
 		cfg.Registry = obs.NewRegistry()
 	}
 	if !*quiet {
-		cfg.Log = log.New(os.Stderr, "sufrouter: ", log.LstdFlags|log.Lmsgprefix)
+		cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 
 	rt, err := router.New(cfg)

@@ -26,7 +26,10 @@
 // admission-control counters + verdict-cache stats),
 // GET /metrics (Prometheus text exposition, unless -no-metrics), GET
 // /debug/flightrec (recent request/span/degradation events as JSON), GET
-// /debug/slowlog (the -slowlog N slowest requests with their span timelines).
+// /debug/slowlog (the -slowlog N slowest requests with their span timelines),
+// GET /debug/history (windowed metric views) and GET /debug/profiles
+// (trigger-fired captures: on an SLO burn, and on any request that completes
+// in at least -profile-slow-ms).
 //
 // The server joins distributed traces: a traceparent request header makes the
 // telemetry recorder mint span IDs, parent the request's phase spans to the
@@ -41,7 +44,7 @@
 // a parse. -no-cache turns the layer off; per-request bypass is the
 // no_cache body field.
 // -debug-addr additionally serves expvar, pprof and the flight recorder on
-// a separate address.
+// a separate address (not the slowlog, history or profiles).
 //
 // Every request carries a correlation ID (client-minted via X-Request-Id or
 // the request_id body field, server-minted otherwise) that joins the
@@ -69,6 +72,7 @@ import (
 
 	"sufsat"
 	"sufsat/internal/obs"
+	"sufsat/internal/obs/slo"
 	"sufsat/internal/server"
 )
 
@@ -104,21 +108,11 @@ func main() {
 	maxBatch := flag.Int("max-batch", 0, "items accepted per /v1/decide/batch request (0 = default)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "grace for in-flight requests on SIGTERM before they are cancelled")
 	debugAddr := flag.String("debug-addr", "", "serve expvar, pprof and the flight recorder on this extra address (e.g. :6060)")
-	slowlogK := flag.Int("slowlog", 0, "slow-request exemplars kept for /debug/slowlog (0 = default 32)")
 	noMetrics := flag.Bool("no-metrics", false, "disable the /metrics endpoint and the aggregation behind it")
 	flightOut := flag.String("flightrec-out", "", "write the SIGQUIT flight-recorder dump to this file (default stderr)")
 	quiet := flag.Bool("quiet", false, "suppress lifecycle and request logging")
-	noHistory := flag.Bool("no-history", false, "disable the metrics history ring, SLO engine and trigger-fired profiling")
-	historyInterval := flag.Duration("history-interval", 0, "metrics history snapshot cadence (0 = 5s)")
-	historySlots := flag.Int("history-slots", 0, "metrics history ring slots (0 = 768)")
-	sloFast := flag.Duration("slo-fast", 0, "SLO fast burn-rate window (0 = 5m)")
-	sloSlow := flag.Duration("slo-slow", 0, "SLO slow burn-rate window (0 = 1h)")
-	sloP95 := flag.Duration("slo-latency-p95", 0, "latency-p95 SLO threshold (0 = 500ms)")
-	sloP99 := flag.Duration("slo-latency-p99", 0, "latency-p99 SLO threshold (0 = 2s)")
-	profileDir := flag.String("profile-dir", "", "also spill trigger-fired pprof captures to this directory")
-	profileCPU := flag.Duration("profile-cpu", 0, "CPU profile duration per trigger-fired capture (0 = 1s)")
-	profileGap := flag.Duration("profile-gap", 0, "minimum gap between trigger-fired captures (0 = 60s)")
-	profileSlowMS := flag.Float64("profile-slow-ms", 0, "capture a profile when a slowlog admission exceeds this many ms (0 = off)")
+	var obsCfg server.ObsConfig
+	obsCfg.RegisterFlags(flag.CommandLine, slo.ServerLatencyP95, slo.ServerLatencyP99)
 	flag.Parse()
 
 	if *solverWorkers <= 0 {
@@ -142,22 +136,9 @@ func main() {
 		CacheEntries: *cacheEntries,
 		CacheBytes:   *cacheBytes,
 		MaxBatch:     *maxBatch,
-		SlowLogSize:  *slowlogK,
-
-		NoHistory:          *noHistory,
-		HistoryInterval:    *historyInterval,
-		HistorySlots:       *historySlots,
-		SLOFastWindow:      *sloFast,
-		SLOSlowWindow:      *sloSlow,
-		SLOLatencyP95:      *sloP95,
-		SLOLatencyP99:      *sloP99,
-		ProfileDir:         *profileDir,
-		ProfileCPUDuration: *profileCPU,
-		ProfileMinGap:      *profileGap,
-		ProfileSlowMS:      *profileSlowMS,
+		ObsConfig:    obsCfg,
 	}
 	if !*quiet {
-		cfg.Log = os.Stderr
 		cfg.Logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 	}
 	if !*noMetrics {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -121,6 +122,40 @@ func TestHistogramConcurrentRecordScrape(t *testing.T) {
 	}
 	if v, _ := scrape.Value("cc_latency_seconds_count"); v != writers*perWriter {
 		t.Fatalf("scraped count = %v, want %d", v, writers*perWriter)
+	}
+}
+
+// TestLabelCapConcurrent: writers racing over more label values than the
+// cap leave exactly maxLabelChildren children plus one "other", and no
+// increment is lost.
+func TestLabelCapConcurrent(t *testing.T) {
+	reg := NewRegistry()
+	c := counterCap(reg, "lc_total", "h", "v")
+	const writers, perWriter = 8, 1000
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				c.child(strconv.Itoa((w*perWriter + i) % 100)).Inc()
+			}
+		}(w)
+	}
+	wg.Wait()
+	children, total, other := 0, 0.0, 0.0
+	reg.VisitSamples(func(s SampleInfo) {
+		if s.Name == "lc_total" {
+			children++
+			total += s.Value
+			if s.Labels == `{v="other"}` {
+				other = s.Value
+			}
+		}
+	})
+	if children != maxLabelChildren+1 || total != writers*perWriter || other == 0 {
+		t.Fatalf("%d children, %v increments, %v in other; want %d, %d and some",
+			children, total, other, maxLabelChildren+1, writers*perWriter)
 	}
 }
 

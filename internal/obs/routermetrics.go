@@ -45,13 +45,14 @@ type RouterMetrics struct {
 	memberRemoves *Counter
 	keysMoved     *Counter
 
-	mu            sync.Mutex
-	registered    map[string]bool     // backends with per-backend gauges
-	requests      map[string]*Counter // by status
-	sheds         map[string]*Counter // by reason
-	backendReqs   map[string]*Counter // by backend
-	backendFails  map[string]*Counter // by backend
-	probeFailures map[string]*Counter // by backend
+	mu         sync.Mutex
+	registered map[string]bool // backends with per-backend gauges, under mu
+
+	requests      *labelCap[*Counter] // by status
+	sheds         *labelCap[*Counter] // by reason
+	backendReqs   *labelCap[*Counter] // by backend
+	backendFails  *labelCap[*Counter] // by backend
+	probeFailures *labelCap[*Counter] // by backend
 }
 
 // NewRouterMetrics registers the router's metric families on reg. inFlight
@@ -62,13 +63,18 @@ func NewRouterMetrics(reg *Registry, inFlight func() float64) *RouterMetrics {
 		return nil
 	}
 	m := &RouterMetrics{
-		reg:           reg,
-		registered:    make(map[string]bool),
-		requests:      make(map[string]*Counter),
-		sheds:         make(map[string]*Counter),
-		backendReqs:   make(map[string]*Counter),
-		backendFails:  make(map[string]*Counter),
-		probeFailures: make(map[string]*Counter),
+		reg:        reg,
+		registered: make(map[string]bool),
+		requests: counterCap(reg, "sufrouter_requests_total",
+			"Routed responses by final status.", "status"),
+		sheds: counterCap(reg, "sufrouter_sheds_total",
+			"Router-level load-shedding rejections by cause.", "reason"),
+		backendReqs: counterCap(reg, "sufrouter_backend_requests_total",
+			"Attempts sent to each backend (hedges and failovers included).", "backend"),
+		backendFails: counterCap(reg, "sufrouter_backend_failures_total",
+			"Attempts that failed below HTTP, by backend.", "backend"),
+		probeFailures: counterCap(reg, "sufrouter_probe_failures_total",
+			"Failed active /readyz probes, by backend.", "backend"),
 	}
 	RegisterBuildInfo(reg)
 	m.reqDuration = reg.Histogram("sufrouter_request_duration_seconds",
@@ -163,34 +169,13 @@ func (m *RouterMetrics) ObserveMembership(joins, drains, removes, keysMoved int)
 	m.keysMoved.Add(int64(keysMoved))
 }
 
-// labeled returns (creating on first use) the counter child of family name
-// keyed by one dynamic label value, collapsing past maxLabelChildren into
-// "other" — same cardinality cap as the service bundle.
-func (m *RouterMetrics) labeled(cache map[string]*Counter, name, help, label, value string) *Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := cache[value]; ok {
-		return c
-	}
-	if len(cache) >= maxLabelChildren {
-		value = "other"
-		if c, ok := cache[value]; ok {
-			return c
-		}
-	}
-	c := m.reg.Counter(name, help, label, value)
-	cache[value] = c
-	return c
-}
-
 // ObserveRequest records one routed response: its final status and the
 // router-side end-to-end latency in seconds.
 func (m *RouterMetrics) ObserveRequest(status string, seconds float64) {
 	if m == nil {
 		return
 	}
-	m.labeled(m.requests, "sufrouter_requests_total",
-		"Routed responses by final status.", "status", status).Inc()
+	m.requests.child(status).Inc()
 	m.reqDuration.Observe(seconds)
 }
 
@@ -200,11 +185,9 @@ func (m *RouterMetrics) ObserveAttempt(backend string, failed bool) {
 	if m == nil {
 		return
 	}
-	m.labeled(m.backendReqs, "sufrouter_backend_requests_total",
-		"Attempts sent to each backend (hedges and failovers included).", "backend", backend).Inc()
+	m.backendReqs.child(backend).Inc()
 	if failed {
-		m.labeled(m.backendFails, "sufrouter_backend_failures_total",
-			"Attempts that failed below HTTP, by backend.", "backend", backend).Inc()
+		m.backendFails.child(backend).Inc()
 	}
 }
 
@@ -213,8 +196,7 @@ func (m *RouterMetrics) ObserveShed(reason string) {
 	if m == nil {
 		return
 	}
-	m.labeled(m.sheds, "sufrouter_sheds_total",
-		"Router-level load-shedding rejections by cause.", "reason", reason).Inc()
+	m.sheds.child(reason).Inc()
 }
 
 // ObserveProbeFailure records one failed active health probe.
@@ -222,8 +204,7 @@ func (m *RouterMetrics) ObserveProbeFailure(backend string) {
 	if m == nil {
 		return
 	}
-	m.labeled(m.probeFailures, "sufrouter_probe_failures_total",
-		"Failed active /readyz probes, by backend.", "backend", backend).Inc()
+	m.probeFailures.child(backend).Inc()
 }
 
 // Failover / FailoverDenied / Hedge / HedgeWin / HedgeDenied bump the

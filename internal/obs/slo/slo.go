@@ -54,6 +54,7 @@ type Objective struct {
 	Name string
 	Kind Kind
 	// Bad and Total drive ErrorRatio (bad/total) and Zero (Bad only).
+	// Total is the whole denominator, so it must count the bad events too.
 	Bad   []Selector
 	Total []Selector
 	// Family and ThresholdSeconds drive Latency: the fraction of the
@@ -247,7 +248,6 @@ func (e *Engine) badFraction(obj Objective, window time.Duration) (frac float64,
 		if !anyBad && !anyTotal {
 			return 0, false
 		}
-		total += bad // bad events that never reach the total counters still count as traffic
 		if total <= 0 {
 			return 0, true
 		}
@@ -364,26 +364,40 @@ func (e *Engine) Burning() []string {
 	return out
 }
 
+// Default latency thresholds of ServerObjectives and RouterObjectives.
+const (
+	ServerLatencyP95 = 500 * time.Millisecond
+	ServerLatencyP99 = 2 * time.Second
+	RouterLatencyP95 = time.Second
+	RouterLatencyP99 = 4 * time.Second
+)
+
 // ServerObjectives returns the default objective set for a sufserved
 // process. latencyP95 and latencyP99 are the per-request duration bounds
-// (zero picks 500ms / 2s); the cache objective is only meaningful when the
-// verdict cache is enabled, but burns nothing without traffic either way.
+// (zero picks ServerLatencyP95 / ServerLatencyP99); the cache objective is
+// only meaningful when the verdict cache is enabled, but burns nothing
+// without traffic either way.
 func ServerObjectives(latencyP95, latencyP99 time.Duration, withCache bool) []Objective {
 	if latencyP95 <= 0 {
-		latencyP95 = 500 * time.Millisecond
+		latencyP95 = ServerLatencyP95
 	}
 	if latencyP99 <= 0 {
-		latencyP99 = 2 * time.Second
+		latencyP99 = ServerLatencyP99
 	}
 	objs := []Objective{
 		{
 			Name: "availability",
 			Kind: ErrorRatio,
+			// A panic's 500 is in sufsat_requests_total (status "error");
+			// a shed request is not, so the sheds are added to the total.
 			Bad: []Selector{
 				{Family: "sufsat_shed_total"},
 				{Family: "sufsat_panics_total"},
 			},
-			Total:       []Selector{{Family: "sufsat_requests_total"}},
+			Total: []Selector{
+				{Family: "sufsat_requests_total"},
+				{Family: "sufsat_shed_total"},
+			},
 			Budget:      0.01,
 			Description: "99% of offered requests get a decision (not shed, not panicked).",
 		},
@@ -413,10 +427,13 @@ func ServerObjectives(latencyP95, latencyP99 time.Duration, withCache bool) []Ob
 	}
 	if withCache {
 		objs = append(objs, Objective{
-			Name:        "cache-hit",
-			Kind:        ErrorRatio,
-			Bad:         []Selector{{Family: "sufsat_cache_misses_total"}},
-			Total:       []Selector{{Family: "sufsat_cache_hits_total"}},
+			Name: "cache-hit",
+			Kind: ErrorRatio,
+			Bad:  []Selector{{Family: "sufsat_cache_misses_total"}},
+			Total: []Selector{
+				{Family: "sufsat_cache_hits_total"},
+				{Family: "sufsat_cache_misses_total"},
+			},
 			Budget:      0.5,
 			Description: "At least half of cache lookups hit.",
 		})
@@ -428,13 +445,15 @@ func ServerObjectives(latencyP95, latencyP99 time.Duration, withCache bool) []Ob
 // process.
 func RouterObjectives(latencyP95, latencyP99 time.Duration) []Objective {
 	if latencyP95 <= 0 {
-		latencyP95 = time.Second
+		latencyP95 = RouterLatencyP95
 	}
 	if latencyP99 <= 0 {
-		latencyP99 = 4 * time.Second
+		latencyP99 = RouterLatencyP99
 	}
 	return []Objective{
 		{
+			// A router shed is also sufrouter_requests_total{status="shed"},
+			// so the requests alone are the whole denominator.
 			Name:        "availability",
 			Kind:        ErrorRatio,
 			Bad:         []Selector{{Family: "sufrouter_sheds_total"}},

@@ -171,13 +171,13 @@ func TestLatencyBurnAndClear(t *testing.T) {
 	}
 }
 
-// TestErrorRatio pins the bad/(total+bad) math and the zero-traffic rule.
+// TestErrorRatio pins the bad/total math and the zero-traffic rule.
 func TestErrorRatio(t *testing.T) {
 	obj := Objective{
 		Name:   "availability",
 		Kind:   ErrorRatio,
 		Bad:    []Selector{{Family: "t_shed_total"}},
-		Total:  []Selector{{Family: "t_reqs_total"}},
+		Total:  []Selector{{Family: "t_reqs_total"}, {Family: "t_shed_total"}},
 		Budget: 0.01,
 	}
 	r := newRig(t, []Objective{obj}, Config{FastWindow: time.Minute, SlowWindow: time.Hour})
@@ -202,6 +202,45 @@ func TestErrorRatio(t *testing.T) {
 	if st.FastBurn < want-0.1 || st.FastBurn > want+0.1 {
 		t.Fatalf("burn = %v, want ≈ %v", st.FastBurn, want)
 	}
+}
+
+// TestAvailabilityDenominators pins the denominators of the canned
+// availability objectives: a router that sheds every request, each also
+// counted in sufrouter_requests_total, reads a bad fraction of 1; a server
+// with 10 contained panics in 100 decisions, each also counted as an
+// "error" response, reads 10/100.
+func TestAvailabilityDenominators(t *testing.T) {
+	cfg := Config{FastWindow: time.Minute, SlowWindow: time.Hour}
+	check := func(r *rig, wantFrac float64) {
+		t.Helper()
+		st := r.status(t, "availability")
+		if want := wantFrac / st.Budget; st.FastBurn < want*0.999 || st.FastBurn > want*1.001 {
+			t.Errorf("availability burn = %v, want %v (bad fraction %v)", st.FastBurn, want, wantFrac)
+		}
+	}
+
+	rt := newRig(t, RouterObjectives(0, 0), cfg)
+	sheds := rt.reg.Counter("sufrouter_sheds_total", "h", "reason", "backends-open")
+	shedReqs := rt.reg.Counter("sufrouter_requests_total", "h", "status", "shed")
+	rt.tick()
+	rt.tick()
+	sheds.Add(50)
+	shedReqs.Add(50)
+	rt.tick()
+	check(rt, 1)
+
+	srv := newRig(t, ServerObjectives(0, 0, false), cfg)
+	valid := srv.reg.Counter("sufsat_requests_total", "h", "status", "valid")
+	errs := srv.reg.Counter("sufsat_requests_total", "h", "status", "error")
+	panics := srv.reg.Counter("sufsat_panics_total", "h")
+	srv.reg.Counter("sufsat_shed_total", "h", "reason", "queue_full")
+	srv.tick()
+	srv.tick()
+	valid.Add(90)
+	errs.Add(10)
+	panics.Add(10)
+	srv.tick()
+	check(srv, 0.10)
 }
 
 // TestZeroObjective pins the invariant kind: any increase is a full burn.

@@ -33,12 +33,11 @@ type ServiceMetrics struct {
 
 	cacheHitSeconds *Histogram
 
-	mu       sync.Mutex
-	requests map[string]*Counter      // by status
-	methods  map[string]*Counter      // by method
-	degraded map[string]*Counter      // by reason
-	phases   map[string]*FloatCounter // by span name
-	workers  map[int]*Counter         // conflicts by worker id
+	requests *labelCap[*Counter]      // by status
+	methods  *labelCap[*Counter]      // by method
+	degraded *labelCap[*Counter]      // by reason
+	phases   *labelCap[*FloatCounter] // by span name
+	workers  *labelCap[*Counter]      // conflicts by worker id
 }
 
 // maxLabelChildren bounds each dynamically-labeled family; values past the
@@ -49,6 +48,44 @@ const maxLabelChildren = 32
 // maxWorkerChildren bounds the per-worker conflict counters (worker ids past
 // the cap collapse into worker="other").
 const maxWorkerChildren = 16
+
+// labelCap is one family's dynamically-labeled children, each created on
+// first use by add. Past limit distinct values, further values share one
+// "other" child. Safe for concurrent use.
+type labelCap[T any] struct {
+	limit int
+	add   func(value string) T
+
+	mu   sync.Mutex
+	kids map[string]T
+}
+
+func newLabelCap[T any](limit int, add func(value string) T) *labelCap[T] {
+	return &labelCap[T]{limit: limit, add: add, kids: make(map[string]T)}
+}
+
+// counterCap caps the children of counter family name, keyed by label.
+func counterCap(reg *Registry, name, help, label string) *labelCap[*Counter] {
+	return newLabelCap(maxLabelChildren, func(v string) *Counter { return reg.Counter(name, help, label, v) })
+}
+
+// child returns the child for value, creating it on first use.
+func (c *labelCap[T]) child(value string) T {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if k, ok := c.kids[value]; ok {
+		return k
+	}
+	if len(c.kids) >= c.limit {
+		value = "other"
+		if k, ok := c.kids[value]; ok {
+			return k
+		}
+	}
+	k := c.add(value)
+	c.kids[value] = k
+	return k
+}
 
 // Histogram bucket layouts. Latencies are log-bucketed from 100µs to ~1.6min;
 // clause and conflict counts from 16 to ~4M — one knob spans the decades the
@@ -67,12 +104,21 @@ func NewServiceMetrics(reg *Registry, probe *ServiceProbe, flight *FlightRecorde
 		return nil
 	}
 	m := &ServiceMetrics{
-		reg:      reg,
-		requests: make(map[string]*Counter),
-		methods:  make(map[string]*Counter),
-		degraded: make(map[string]*Counter),
-		phases:   make(map[string]*FloatCounter),
-		workers:  make(map[int]*Counter),
+		reg: reg,
+		requests: counterCap(reg, "sufsat_requests_total",
+			"Completed decision responses by status.", "status"),
+		methods: counterCap(reg, "sufsat_methods_total",
+			"Completed decision responses by requested method.", "method"),
+		degraded: counterCap(reg, "sufsat_degraded_total",
+			"Requests answered by the degradation ladder, by trigger.", "reason"),
+		phases: newLabelCap(maxLabelChildren, func(phase string) *FloatCounter {
+			return reg.FloatCounter("sufsat_phase_seconds_total",
+				"Wall-clock seconds by pipeline phase, from span durations.", "phase", phase)
+		}),
+		workers: newLabelCap(maxWorkerChildren, func(id string) *Counter {
+			return reg.Counter("sufsat_worker_conflicts_total",
+				"SAT conflicts by parallel worker id.", "worker", id)
+		}),
 	}
 	RegisterBuildInfo(reg)
 
@@ -153,36 +199,14 @@ func (m *ServiceMetrics) Registry() *Registry {
 	return m.reg
 }
 
-// labeled returns (creating on first use) the counter child of family name
-// keyed by one dynamic label value, collapsing past maxLabelChildren into
-// "other".
-func (m *ServiceMetrics) labeled(cache map[string]*Counter, name, help, label, value string) *Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := cache[value]; ok {
-		return c
-	}
-	if len(cache) >= maxLabelChildren {
-		value = "other"
-		if c, ok := cache[value]; ok {
-			return c
-		}
-	}
-	c := m.reg.Counter(name, help, label, value)
-	cache[value] = c
-	return c
-}
-
 // ObserveRequest records one completed decision: its status, requested
 // method, and the queue/solve/total latency split in seconds.
 func (m *ServiceMetrics) ObserveRequest(status, method string, queueSec, solveSec, totalSec float64) {
 	if m == nil {
 		return
 	}
-	m.labeled(m.requests, "sufsat_requests_total",
-		"Completed decision responses by status.", "status", status).Inc()
-	m.labeled(m.methods, "sufsat_methods_total",
-		"Completed decision responses by requested method.", "method", method).Inc()
+	m.requests.child(status).Inc()
+	m.methods.child(method).Inc()
 	m.queueWait.Observe(queueSec)
 	m.solveSeconds.Observe(solveSec)
 	m.reqDuration.Observe(totalSec)
@@ -239,50 +263,7 @@ func (m *ServiceMetrics) ObserveDegraded(reason string) {
 	if m == nil {
 		return
 	}
-	m.labeled(m.degraded, "sufsat_degraded_total",
-		"Requests answered by the degradation ladder, by trigger.", "reason", reason).Inc()
-}
-
-// phaseCounter returns (creating on first use) the per-phase time
-// accumulator.
-func (m *ServiceMetrics) phaseCounter(phase string) *FloatCounter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.phases[phase]; ok {
-		return c
-	}
-	if len(m.phases) >= maxLabelChildren {
-		phase = "other"
-		if c, ok := m.phases[phase]; ok {
-			return c
-		}
-	}
-	c := m.reg.FloatCounter("sufsat_phase_seconds_total",
-		"Wall-clock seconds by pipeline phase, from span durations.", "phase", phase)
-	m.phases[phase] = c
-	return c
-}
-
-// workerCounter returns (creating on first use) the per-worker conflict
-// counter, collapsing ids past maxWorkerChildren into "other".
-func (m *ServiceMetrics) workerCounter(id int) *Counter {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.workers[id]; ok {
-		return c
-	}
-	key := id
-	label := strconv.Itoa(id)
-	if len(m.workers) >= maxWorkerChildren {
-		key, label = -1, "other"
-		if c, ok := m.workers[key]; ok {
-			return c
-		}
-	}
-	c := m.reg.Counter("sufsat_worker_conflicts_total",
-		"SAT conflicts by parallel worker id.", "worker", label)
-	m.workers[key] = c
-	return c
+	m.degraded.child(reason).Inc()
 }
 
 // attrFloat coerces a span attribute to float64 (attributes arrive as int,
@@ -310,13 +291,13 @@ func (m *ServiceMetrics) ObserveSnapshot(snap *Snapshot) {
 	}
 	for i := range snap.Spans {
 		sp := &snap.Spans[i]
-		m.phaseCounter(sp.Name).Add(sp.DurMS / 1e3)
+		m.phases.child(sp.Name).Add(sp.DurMS / 1e3)
 		if sp.Name == "encode" && sp.Attrs != nil {
 			if ms, ok := attrFloat(sp.Attrs["sd_ms"]); ok && ms > 0 {
-				m.phaseCounter("encode_sd").Add(ms / 1e3)
+				m.phases.child("encode_sd").Add(ms / 1e3)
 			}
 			if ms, ok := attrFloat(sp.Attrs["eij_ms"]); ok && ms > 0 {
-				m.phaseCounter("encode_eij").Add(ms / 1e3)
+				m.phases.child("encode_eij").Add(ms / 1e3)
 			}
 		}
 	}
@@ -347,10 +328,10 @@ func (m *ServiceMetrics) ObserveSnapshot(snap *Snapshot) {
 	if ps := snap.Parallel; ps != nil {
 		for _, w := range ps.PerWorker {
 			if w.Conflicts > 0 {
-				m.workerCounter(w.ID).Add(w.Conflicts)
+				m.workers.child(strconv.Itoa(w.ID)).Add(w.Conflicts)
 			}
 		}
 	} else if snap.SAT.Conflicts > 0 {
-		m.workerCounter(0).Add(snap.SAT.Conflicts)
+		m.workers.child("0").Add(snap.SAT.Conflicts)
 	}
 }

@@ -266,11 +266,9 @@ func (rt *Router) applyLocked(next map[string]*backend, removed []*backend, ch *
 		<-b.probeDone
 		b.closeIdle()
 	}
-	if rt.cfg.Log != nil {
-		rt.cfg.Log.Printf("membership epoch=%d backends=%d active=%d moved=%.3f added=%v reactivated=%v drained=%v removed=%v",
-			ch.Epoch, ch.Backends, ch.ActiveBackends, ratio,
-			ch.Added, ch.Reactivated, ch.Drained, ch.Removed)
-	}
+	rt.log("membership", "epoch", ch.Epoch, "backends", ch.Backends, "active", ch.ActiveBackends,
+		"moved", ratio, "added", ch.Added, "reactivated", ch.Reactivated,
+		"drained", ch.Drained, "removed", ch.Removed)
 }
 
 // Reconfigure declares the desired ACTIVE backend set and is the single

@@ -14,7 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
+	"log/slog"
 	"math/rand"
 	"net/http"
 	"sort"
@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"sufsat/internal/obs"
-	"sufsat/internal/obs/history"
 	"sufsat/internal/obs/slo"
 	"sufsat/internal/server"
 )
@@ -93,38 +92,14 @@ type Config struct {
 	Breaker BreakerConfig
 
 	// Registry receives the sufrouter_* metric families (nil disables
-	// metrics). Log receives failover/shed lines (nil = silent).
+	// metrics). Logger receives lifecycle, membership and failover/shed
+	// lines (nil = silent).
 	Registry *obs.Registry
-	Log      *log.Logger
+	Logger   *slog.Logger
 
-	// SlowLogSize bounds the slow-request exemplar store served at
-	// /debug/slowlog (0 = obs.DefaultSlowLogSize).
-	SlowLogSize int
-
-	// NoHistory disables the metrics-history ring, the SLO engine and
-	// trigger-fired profiling. History also stays off when Registry is nil.
-	NoHistory bool
-	// HistoryInterval is the history snapshot cadence and HistorySlots the
-	// ring bound (zero = the history package defaults). Served at
-	// /debug/history.
-	HistoryInterval time.Duration
-	HistorySlots    int
-	// SLOFastWindow/SLOSlowWindow set the burn-rate engine's two windows
-	// (zero = the slo package defaults: 5m, 1h).
-	SLOFastWindow time.Duration
-	SLOSlowWindow time.Duration
-	// SLOLatencyP95/SLOLatencyP99 parameterize the slo.RouterObjectives
-	// latency objectives (0 = 1s / 4s — router budgets sit above the
-	// backend's).
-	SLOLatencyP95 time.Duration
-	SLOLatencyP99 time.Duration
-	// ProfileDir/ProfileCPUDuration/ProfileMinGap tune trigger-fired
-	// profiling (listed at /debug/profiles); ProfileSlowMS > 0 additionally
-	// fires a capture on slowlog admissions at least that slow.
-	ProfileDir         string
-	ProfileCPUDuration time.Duration
-	ProfileMinGap      time.Duration
-	ProfileSlowMS      float64
+	// ObsConfig tunes the slowlog, metrics history, SLO engine and
+	// trigger-fired profiling (server.Observer).
+	server.ObsConfig
 }
 
 func (c *Config) withDefaults() Config {
@@ -174,15 +149,11 @@ func (c *Config) withDefaults() Config {
 // the add/drain/remove verbs (membership.go), so in-flight requests keep a
 // consistent ring+member snapshot while the pool changes under them.
 type Router struct {
-	cfg     Config
-	view    atomic.Pointer[fleetView]
-	metrics *obs.RouterMetrics
-	slow    *obs.SlowLog
-	keys    *server.KeyMemo // ring keys by formula bytes
-
-	hist     *history.History
-	slos     *slo.Engine
-	profiles *obs.ProfileStore
+	cfg      Config
+	view     atomic.Pointer[fleetView]
+	metrics  *obs.RouterMetrics
+	observer *server.Observer
+	keys     *server.KeyMemo // ring keys by formula bytes
 
 	failoverBudget *Budget
 	hedgeBudget    *Budget
@@ -221,7 +192,6 @@ func New(cfg Config) (*Router, error) {
 		cfg:            c,
 		failoverBudget: NewBudget(c.FailoverRatio, c.FailoverBurst),
 		hedgeBudget:    NewBudget(c.HedgeRatio, c.HedgeBurst),
-		slow:           obs.NewSlowLog(c.SlowLogSize),
 		keys:           server.NewKeyMemo(),
 	}
 	rt.metrics = obs.NewRouterMetrics(c.Registry, func() float64 {
@@ -231,40 +201,8 @@ func New(cfg Config) (*Router, error) {
 		func() float64 { return float64(rt.epoch.Load()) },
 		rt.LastMoveRatio,
 	)
-	if c.Registry != nil && !c.NoHistory {
-		rt.hist = history.New(c.Registry, history.Config{
-			Interval:   c.HistoryInterval,
-			Slots:      c.HistorySlots,
-			OnSnapshot: func() { rt.slos.Evaluate() },
-		})
-		objs := slo.RouterObjectives(c.SLOLatencyP95, c.SLOLatencyP99)
-		rt.slos = slo.New(c.Registry, rt.hist, obs.Flight, "sufrouter", objs, slo.Config{
-			FastWindow: c.SLOFastWindow,
-			SlowWindow: c.SLOSlowWindow,
-		})
-		rt.profiles = obs.NewProfileStore(obs.ProfileConfig{
-			Dir:         c.ProfileDir,
-			CPUDuration: c.ProfileCPUDuration,
-			MinGap:      c.ProfileMinGap,
-			Flight:      obs.Flight,
-		})
-		rt.slos.OnBurn(func(name string) {
-			reqID, traceID := "", ""
-			if top := rt.slow.Entries(); len(top) > 0 {
-				reqID, traceID = top[0].RequestID, top[0].TraceID
-			}
-			if rt.profiles.TryCapture("slo:"+name, reqID, traceID) && rt.cfg.Log != nil {
-				rt.cfg.Log.Printf("slo %s burning, capturing profile", name)
-			}
-		})
-		c.Registry.CounterFunc("sufrouter_profile_captures_total",
-			"Trigger-fired profile capture attempts by result.",
-			func() float64 { return float64(rt.profiles.Captured()) }, "result", "captured")
-		c.Registry.CounterFunc("sufrouter_profile_captures_total",
-			"Trigger-fired profile capture attempts by result.",
-			func() float64 { return float64(rt.profiles.Suppressed()) }, "result", "suppressed")
-		rt.hist.Start()
-	}
+	rt.observer = server.NewObserver(c.ObsConfig, c.Registry, obs.Flight, "sufrouter",
+		slo.RouterObjectives(c.SLOLatencyP95, c.SLOLatencyP99), c.Logger)
 	rt.probeCtx, rt.probeCancel = context.WithCancel(context.Background())
 	members := make(map[string]*backend, len(urls))
 	ring := NewRing(c.Replicas)
@@ -320,9 +258,7 @@ func (rt *Router) probeLoop(ctx context.Context, b *backend) {
 			rt.metrics.ObserveProbeFailure(b.name)
 		} else if b.activate() {
 			// First healthy probe of a joining member: it is a full peer now.
-			if rt.cfg.Log != nil {
-				rt.cfg.Log.Printf("backend %s joining -> active (probe)", b.name)
-			}
+			rt.log("backend joining -> active", "backend", b.name, "by", "probe")
 		}
 	}
 }
@@ -337,10 +273,7 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	rt.memberMu.Unlock()
 	rt.probeCancel()
 	rt.probeWG.Wait()
-	// Stop the history collector and let any in-flight profile capture
-	// finish so a drained router leaks no goroutines.
-	rt.hist.Stop()
-	rt.profiles.Wait()
+	rt.observer.Stop()
 	done := make(chan struct{})
 	go func() {
 		rt.reqWG.Wait()
@@ -381,6 +314,8 @@ func (rt *Router) BackendState(name string) (BreakerState, bool) {
 //	GET  /statusz        human-readable backend table
 //	GET  /metrics        Prometheus exposition (when a Registry is configured)
 //	GET  /debug/slowlog  slow-request exemplars (merged cross-tier timelines)
+//	GET  /debug/history  windowed metric views (404 with history off)
+//	GET  /debug/profiles trigger-fired profile captures (404 with history off)
 //	GET/PUT/POST /admin/backends  membership control plane (admin.go)
 func (rt *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -395,9 +330,7 @@ func (rt *Router) Handler() http.Handler {
 	if reg := rt.metrics.Registry(); reg != nil {
 		mux.Handle("/metrics", reg.Handler())
 	}
-	mux.Handle("/debug/slowlog", rt.slow.Handler())
-	mux.Handle("/debug/history", rt.hist.Handler())
-	mux.Handle("/debug/profiles", rt.profiles.Handler())
+	rt.observer.Mount(mux)
 	return mux
 }
 
@@ -427,7 +360,7 @@ func (rt *Router) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 		rt.failoverBudget.Spent(), rt.hedgeBudget.Spent(), rt.LastMoveRatio())
 	// The router's own objectives: the same data /statusz serves as JSON on a
 	// backend, rendered as one line per objective.
-	for _, st := range rt.slos.Status() {
+	for _, st := range rt.observer.SLOStatus() {
 		fmt.Fprintf(w, "slo %-14s state=%-8s fast=%-8.3f slow=%-8.3f budget=%.3f transitions=%d\n",
 			st.Name, st.State, st.FastBurn, st.SlowBurn, st.Budget, st.Transitions)
 	}
@@ -505,45 +438,44 @@ func (rt *Router) backendSLOState(cl *http.Client, base string) string {
 	return "burning(" + strings.Join(burning, ",") + ")"
 }
 
-// writeJSON writes resp with the given HTTP status, setting the correlation
-// and backpressure headers the way internal/server does.
-func writeJSON(w http.ResponseWriter, status int, resp *server.Response) {
-	w.Header().Set("Content-Type", "application/json")
-	if resp.RequestID != "" {
-		w.Header().Set("X-Request-Id", resp.RequestID)
+// log writes one lifecycle line (nil Config.Logger = silent).
+func (rt *Router) log(msg string, args ...any) {
+	if rt.cfg.Logger != nil {
+		rt.cfg.Logger.Info(msg, args...)
 	}
-	if status == http.StatusServiceUnavailable && resp.RetryAfterMS > 0 {
-		secs := (resp.RetryAfterMS + 999) / 1000
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", secs))
+}
+
+// respond is the router's single exit: it records the request's status and
+// latency, hands a routed request (entry non-nil) to the observer, and
+// writes resp.
+func (rt *Router) respond(w http.ResponseWriter, resp *server.Response, start time.Time, entry func() obs.SlowEntry) {
+	total := time.Since(start)
+	rt.metrics.ObserveRequest(resp.Status, total.Seconds())
+	if entry != nil {
+		rt.observer.Finish(float64(total.Microseconds())/1e3, entry)
 	}
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(resp) //nolint:errcheck
+	server.WriteResponse(w, resp)
 }
 
 func (rt *Router) shed(w http.ResponseWriter, reqID, reason string, retryAfter time.Duration, start time.Time) {
 	rt.metrics.ObserveShed(reason)
-	rt.metrics.ObserveRequest("shed", time.Since(start).Seconds())
-	if rt.cfg.Log != nil {
-		rt.cfg.Log.Printf("shed reason=%s retry_after=%s request_id=%s", reason, retryAfter, reqID)
-	}
-	writeJSON(w, http.StatusServiceUnavailable, &server.Response{
+	rt.log("shed", "reason", reason, "retry_after", retryAfter, "request_id", reqID)
+	rt.respond(w, &server.Response{
 		Status:       "shed",
 		RequestID:    reqID,
 		ShedReason:   reason,
 		RetryAfterMS: retryAfter.Milliseconds(),
-	})
+		HTTPStatus:   http.StatusServiceUnavailable,
+	}, start, nil)
 }
 
 func (rt *Router) malformed(w http.ResponseWriter, reqID, msg string, start time.Time) {
-	rt.metrics.ObserveRequest("malformed", time.Since(start).Seconds())
-	writeJSON(w, http.StatusBadRequest, &server.Response{
-		Status:    "malformed",
-		RequestID: reqID,
-		Error:     msg,
-	})
+	rt.respond(w, &server.Response{
+		Status:     "malformed",
+		RequestID:  reqID,
+		Error:      msg,
+		HTTPStatus: http.StatusBadRequest,
+	}, start, nil)
 }
 
 func (rt *Router) handleDecide(w http.ResponseWriter, r *http.Request) {
@@ -637,62 +569,44 @@ func (rt *Router) handleDecide(w http.ResponseWriter, r *http.Request) {
 	resp, who, retryAfter, reason := rt.route(ctx, v, &req, order, tr)
 	switch {
 	case resp != nil:
-		tr.end(resp.Status)
-		tr.mergeResponse(resp)
 		w.Header().Set("X-Sufrouter-Backend", who)
-		rt.metrics.ObserveRequest(resp.Status, time.Since(start).Seconds())
-		rt.observeSlow(tr, resp, req.RequestID, traceID, fp, who, time.Since(start))
-		writeJSON(w, resp.HTTPStatus, resp)
 	case reason != "":
 		tr.end("shed")
 		rt.shed(w, req.RequestID, reason, retryAfter, start)
+		return
 	default:
 		// The router's deadline (request budget + grace) expired with no
 		// answer: report a timeout upward rather than hanging.
-		tr.end("timeout")
-		rt.metrics.ObserveRequest("timeout", time.Since(start).Seconds())
-		rt.observeSlow(tr, nil, req.RequestID, traceID, fp, "", time.Since(start))
-		writeJSON(w, http.StatusGatewayTimeout, &server.Response{
-			Status:    "timeout",
-			RequestID: req.RequestID,
-			Error:     "router: request deadline exceeded before any backend answered",
-			TotalMS:   float64(time.Since(start).Milliseconds()),
-		})
+		resp = &server.Response{
+			Status:     "timeout",
+			RequestID:  req.RequestID,
+			Error:      "router: request deadline exceeded before any backend answered",
+			TotalMS:    float64(time.Since(start).Milliseconds()),
+			HTTPStatus: http.StatusGatewayTimeout,
+		}
 	}
-}
-
-// observeSlow feeds a finished request into the slow-request exemplar log:
-// correlation IDs, verdict, routing disposition (hedge / failover / cache)
-// and — when the winning response carried telemetry — the merged cross-tier
-// timeline. resp nil records a router-side timeout.
-func (rt *Router) observeSlow(tr *routeTrace, resp *server.Response, reqID, traceID, fp, who string, total time.Duration) {
-	totalMS := float64(total.Microseconds()) / 1e3
-	if rt.cfg.ProfileSlowMS > 0 && totalMS >= rt.cfg.ProfileSlowMS {
-		rt.profiles.TryCapture("slowlog", reqID, traceID)
-	}
-	if !rt.slow.Candidate(totalMS) {
-		return
-	}
-	e := obs.SlowEntry{
-		RequestID:   reqID,
-		TraceID:     traceID,
-		Status:      "timeout",
-		Fingerprint: fp,
-		TotalMS:     totalMS,
-		Hedged:      tr.hedged,
-		HedgeWon:    tr.hedgeWon(),
-		FailedOver:  tr.failedOver,
-		Backend:     who,
-	}
-	if resp != nil {
-		e.Status = resp.Status
-		e.Method = resp.Method
-		e.Cached = resp.Cached
+	tr.end(resp.Status)
+	tr.mergeResponse(resp)
+	// The exemplar carries the routing disposition and, when the answer
+	// carried telemetry, the merged cross-tier timeline.
+	rt.respond(w, resp, start, func() obs.SlowEntry {
+		e := obs.SlowEntry{
+			RequestID:   req.RequestID,
+			TraceID:     traceID,
+			Status:      resp.Status,
+			Method:      resp.Method,
+			Fingerprint: fp,
+			Cached:      resp.Cached,
+			Hedged:      tr.hedged,
+			HedgeWon:    tr.hedgeWon(),
+			FailedOver:  tr.failedOver,
+			Backend:     who,
+		}
 		if resp.Telemetry != nil {
 			e.Spans = resp.Telemetry.Spans
 		}
-	}
-	rt.slow.Observe(e)
+		return e
+	})
 }
 
 // attemptResult is one backend attempt's outcome.
@@ -889,8 +803,8 @@ func (rt *Router) route(ctx context.Context, v *fleetView, req *server.Request, 
 				r.b.br.ReportSuccess(r.trial)
 				r.b.lat.Observe(r.elapsed)
 				rt.metrics.ObserveAttempt(r.b.name, false)
-				if r.b.activate() && rt.cfg.Log != nil {
-					rt.cfg.Log.Printf("backend %s joining -> active (won a request)", r.b.name)
+				if r.b.activate() {
+					rt.log("backend joining -> active", "backend", r.b.name, "by", "request")
 				}
 				if r.hedge {
 					rt.metrics.HedgeWin()
@@ -917,10 +831,8 @@ func (rt *Router) route(ctx context.Context, v *fleetView, req *server.Request, 
 				tr.endAttempt(r.b.name, "failed", false, false)
 				r.b.br.ReportFailure(r.trial)
 				rt.metrics.ObserveAttempt(r.b.name, true)
-				if rt.cfg.Log != nil {
-					rt.cfg.Log.Printf("attempt failed backend=%s hedge=%v request_id=%s err=%v",
-						r.b.name, r.hedge, req.RequestID, r.err)
-				}
+				rt.log("attempt failed", "backend", r.b.name, "hedge", r.hedge,
+					"request_id", req.RequestID, "err", r.err)
 			}
 			// Replace the failed attempt with the next candidate even while
 			// another attempt is still in flight: a hung (blackholed) primary
@@ -945,9 +857,7 @@ func (rt *Router) route(ctx context.Context, v *fleetView, req *server.Request, 
 				return nil, "", raOrDefault(maxRA), ShedFailoverBudget
 			}
 			rt.metrics.Failover()
-			if rt.cfg.Log != nil {
-				rt.cfg.Log.Printf("failover to backend=%s request_id=%s", nb.name, req.RequestID)
-			}
+			rt.log("failover", "backend", nb.name, "request_id", req.RequestID)
 			cancels[nb] = rt.launch(ctx, nb, ntrial, false, tr.startAttempt(nb, "failover", ntrial), req, ch)
 			inflight++
 		}

@@ -462,6 +462,39 @@ func TestRouterProbeRecovery(t *testing.T) {
 	}, "recovered backend's breaker never closed")
 }
 
+// TestRouterObservability: the router mounts the shared observer, so its
+// metrics history and profile store answer, and its scrape carries the
+// capture counter.
+func TestRouterObservability(t *testing.T) {
+	_, srv, _ := newTestRouter(t, Config{HedgeDelay: -1}, newFakeBackend(t, "ok"))
+	if resp, _ := postDecide(t, srv.URL, &server.Request{Formula: testFormula}); resp.Status != "valid" {
+		t.Fatalf("status %q", resp.Status)
+	}
+	get := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: HTTP %d: %s", path, resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	if body := get("/debug/history?family=sufrouter_requests_total"); !strings.Contains(body, `"sufrouter_requests_total"`) {
+		t.Errorf("/debug/history lacks the requested family: %s", body)
+	}
+	var idx obs.ProfileIndex
+	if err := json.Unmarshal([]byte(get("/debug/profiles")), &idx); err != nil {
+		t.Errorf("/debug/profiles: %v", err)
+	}
+	if scrape := get("/metrics"); !strings.Contains(scrape, `sufrouter_profile_captures_total{result="captured"}`) {
+		t.Errorf("scrape lacks sufrouter_profile_captures_total{result=\"captured\"}:\n%s", scrape)
+	}
+}
+
 // TestRingKeyRepeatAllocs: the router keys a formula text it has keyed
 // before from its memo, without a parse, so the ring key of a repeat costs
 // the same few allocations for a 2,000-equation text as for a 4-equation

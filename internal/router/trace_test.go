@@ -61,6 +61,21 @@ func newTracingBackend(t *testing.T) *tracingBackend {
 	return tb
 }
 
+// slowEntries fetches the exemplars of the slowlog served at base.
+func slowEntries(t *testing.T, base string) []obs.SlowEntry {
+	t.Helper()
+	resp, err := http.Get(base + "/debug/slowlog")
+	if err != nil {
+		t.Fatalf("GET /debug/slowlog: %v", err)
+	}
+	defer resp.Body.Close()
+	var dump obs.SlowLogDump
+	if err := json.NewDecoder(resp.Body).Decode(&dump); err != nil {
+		t.Fatalf("decode /debug/slowlog: %v", err)
+	}
+	return dump.Entries
+}
+
 // TestRouterTraceMerge drives a want_telemetry request through a failover
 // (dead primary, healthy next ring node) and pins the tentpole contract:
 // the response carries ONE merged cross-tier timeline — route span, a failed
@@ -154,7 +169,7 @@ func TestRouterTraceMerge(t *testing.T) {
 	}
 
 	// The request is in the router's slowlog with its disposition.
-	entries := rt.slow.Entries()
+	entries := slowEntries(t, srv.URL)
 	if len(entries) == 0 {
 		t.Fatal("router slowlog empty after a routed request")
 	}
@@ -215,7 +230,7 @@ func TestRouterUntracedUnchanged(t *testing.T) {
 	if sawTraceparent.Load() {
 		t.Error("router forwarded a traceparent for an untraced request")
 	}
-	if entries := rt.slow.Entries(); len(entries) == 0 || entries[0].TraceID != "" {
+	if entries := slowEntries(t, srv.URL); len(entries) == 0 || entries[0].TraceID != "" {
 		t.Errorf("slowlog for untraced request = %+v, want one entry with no trace_id", entries)
 	}
 }

@@ -55,38 +55,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	if s.Draining() {
-		writeJSON(w, s.shed(ShedDraining, time.Second))
-		return
-	}
-	if err := s.hook(StageDecode); err != nil {
-		writeJSON(w, &Response{Status: "error", Error: err.Error(), HTTPStatus: http.StatusInternalServerError})
-		return
-	}
-	body, err := readBody(w, r, s.cfg.MaxRequestBytes)
-	if err != nil {
-		s.probe.Malformed()
-		writeJSON(w, malformed(fmt.Sprintf("read body: %v", err)))
-		return
-	}
-	var breq BatchRequest
-	if err := json.Unmarshal(body, &breq); err != nil {
-		s.probe.Malformed()
-		writeJSON(w, malformed(fmt.Sprintf("bad JSON: %v", err)))
-		return
-	}
-	if len(breq.Items) == 0 {
-		s.probe.Malformed()
-		writeJSON(w, malformed("empty batch"))
-		return
-	}
-	if len(breq.Items) > s.cfg.MaxBatch {
-		s.probe.Malformed()
-		writeJSON(w, malformed(fmt.Sprintf("batch of %d exceeds limit %d", len(breq.Items), s.cfg.MaxBatch)))
-		return
-	}
-	batchID := obs.ResolveRequestID(r.Header.Get("X-Request-Id"), breq.RequestID)
+	hdrID := r.Header.Get("X-Request-Id")
 	traceID, parentSpan, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
+	// A rejection of the whole batch leaves through the same exit as a
+	// /decide rejection: correlated, logged and flight-recorded.
+	var breq BatchRequest
+	if resp := s.readRequest(w, r, &breq); resp != nil {
+		s.respond(w, resp, obs.ResolveRequestID(hdrID, ""), traceID, start)
+		return
+	}
+	batchID := obs.ResolveRequestID(hdrID, breq.RequestID)
+	if n := len(breq.Items); n == 0 || n > s.cfg.MaxBatch {
+		s.probe.Malformed()
+		msg := "empty batch"
+		if n > 0 {
+			msg = fmt.Sprintf("batch of %d exceeds limit %d", n, s.cfg.MaxBatch)
+		}
+		s.respond(w, malformed(msg), batchID, traceID, start)
+		return
+	}
 
 	out := &BatchResponse{
 		Responses: make([]*Response, len(breq.Items)),

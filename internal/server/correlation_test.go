@@ -218,6 +218,49 @@ func TestBatchCorrelation(t *testing.T) {
 			t.Errorf("flight recorder has no events for %s", id)
 		}
 	}
+
+	// A rejected batch leaves the way a rejected /decide does: its ID in
+	// header and body, a log record and a flight event.
+	for _, tc := range []struct{ id, body string }{
+		{"bad-batch", `{not json`},
+		{"empty-batch", `{"items":[]}`},
+	} {
+		hreq, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/decide/batch", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hreq.Header.Set("X-Request-Id", tc.id)
+		hresp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp server.Response
+		err = json.NewDecoder(hresp.Body).Decode(&resp)
+		hresp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.id, err)
+		}
+		if hresp.StatusCode != http.StatusBadRequest || resp.Status != "malformed" {
+			t.Errorf("%s: HTTP %d status %q, want 400 malformed", tc.id, hresp.StatusCode, resp.Status)
+		}
+		if resp.RequestID != tc.id || hresp.Header.Get("X-Request-Id") != tc.id {
+			t.Errorf("%s: rejection not correlated: body=%q header=%q",
+				tc.id, resp.RequestID, hresp.Header.Get("X-Request-Id"))
+		}
+	}
+	logs = logMu.String()
+	seen = map[string]bool{}
+	for _, ev := range flight.Events() {
+		seen[ev.ReqID] = true
+	}
+	for _, id := range []string{"bad-batch", "empty-batch"} {
+		if !strings.Contains(logs, "req_id="+id) {
+			t.Errorf("request log missing req_id=%s:\n%s", id, logs)
+		}
+		if !seen[id] {
+			t.Errorf("flight recorder has no events for %s", id)
+		}
+	}
 }
 
 // syncWriter is a mutex-guarded bytes.Buffer for concurrent slog output.

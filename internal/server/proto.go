@@ -120,12 +120,11 @@ type Response struct {
 	SolveMS float64 `json:"solve_ms"`
 	TotalMS float64 `json:"total_ms"`
 
-	// HTTPStatus and RetryAfter drive the transport layer; they are not part
+	// HTTPStatus drives the transport layer (WriteResponse); it is not part
 	// of the JSON body. ClientAttempts is filled by the retrying client with
 	// the number of attempts it made (shed retries included).
-	HTTPStatus     int           `json:"-"`
-	RetryAfter     time.Duration `json:"-"`
-	ClientAttempts int           `json:"-"`
+	HTTPStatus     int `json:"-"`
+	ClientAttempts int `json:"-"`
 }
 
 // RespStats is the compact per-request measurement block.

@@ -36,10 +36,10 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net"
 	"net/http"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,7 +48,6 @@ import (
 	"sufsat"
 	"sufsat/internal/core"
 	"sufsat/internal/obs"
-	"sufsat/internal/obs/history"
 	"sufsat/internal/obs/slo"
 )
 
@@ -112,49 +111,21 @@ type Config struct {
 	// stage hooks. A returned error fails the request with a structured 500;
 	// a panic is contained like any per-request panic.
 	Hook func(stage string) error
-	// Log, when non-nil, receives one line per lifecycle event.
-	Log io.Writer
 	// Metrics, when non-nil, receives the aggregated metric families
 	// (obs.NewServiceMetrics) and is served at /metrics. Nil disables the
 	// metrics layer entirely — every observation call no-ops.
 	Metrics *obs.Registry
-	// Logger, when non-nil, receives one structured log record per finished
-	// request (status, method, latency split, correlation ID).
+	// Logger, when non-nil, receives the lifecycle lines and one structured
+	// record per finished request (status, method, latency split,
+	// correlation ID).
 	Logger *slog.Logger
 	// Flight is the flight-recorder ring request/span/degradation events are
 	// recorded into (nil = the process-wide obs.Flight). Served at
 	// /debug/flightrec.
 	Flight *obs.FlightRecorder
-	// SlowLogSize bounds the slow-request exemplar store served at
-	// /debug/slowlog (0 = obs.DefaultSlowLogSize).
-	SlowLogSize int
-	// NoHistory disables the metrics-history ring — and with it the SLO
-	// engine and trigger-fired profiling. History also stays off when
-	// Metrics is nil (there is nothing to snapshot).
-	NoHistory bool
-	// HistoryInterval is the history snapshot cadence (0 =
-	// history.DefaultInterval); HistorySlots bounds the ring (0 =
-	// history.DefaultSlots). Served at /debug/history.
-	HistoryInterval time.Duration
-	HistorySlots    int
-	// SLOFastWindow/SLOSlowWindow set the burn-rate engine's two windows
-	// (zero = the slo package defaults: 5m, 1h).
-	SLOFastWindow time.Duration
-	SLOSlowWindow time.Duration
-	// SLOLatencyP95/SLOLatencyP99 parameterize the slo.ServerObjectives
-	// latency objectives (0 = 500ms / 2s).
-	SLOLatencyP95 time.Duration
-	SLOLatencyP99 time.Duration
-	// ProfileDir, when set, also writes trigger-fired profiles to disk;
-	// ProfileCPUDuration and ProfileMinGap tune the capture length and rate
-	// limit (0 = 1s / 60s). Profiles are listed at /debug/profiles.
-	ProfileDir         string
-	ProfileCPUDuration time.Duration
-	ProfileMinGap      time.Duration
-	// ProfileSlowMS, when > 0, fires a profile capture when a slowlog
-	// admission is at least this slow (the per-request trigger; SLO burn
-	// transitions always trigger).
-	ProfileSlowMS float64
+	// ObsConfig tunes the slowlog, metrics history, SLO engine and
+	// trigger-fired profiling (Observer).
+	ObsConfig
 }
 
 // task is one admitted request travelling from the handler to a pool worker.
@@ -179,15 +150,11 @@ type task struct {
 // Server is the decision service. Create with New, serve its Handler (or
 // Serve/ListenAndServe), stop with Shutdown.
 type Server struct {
-	cfg     Config
-	probe   *obs.ServiceProbe
-	metrics *obs.ServiceMetrics
-	flight  *obs.FlightRecorder
-	slow    *obs.SlowLog
-
-	hist     *history.History
-	slos     *slo.Engine
-	profiles *obs.ProfileStore
+	cfg      Config
+	probe    *obs.ServiceProbe
+	metrics  *obs.ServiceMetrics
+	flight   *obs.FlightRecorder
+	observer *Observer
 
 	// cache is the verdict cache and keys maps request bytes to its keys;
 	// both are nil when the cache is off.
@@ -253,7 +220,6 @@ func New(cfg Config) *Server {
 		probe:       probe,
 		metrics:     obs.NewServiceMetrics(cfg.Metrics, probe, flight),
 		flight:      flight,
-		slow:        obs.NewSlowLog(cfg.SlowLogSize),
 		queue:       make(chan *task, cfg.MaxQueue),
 		workersDone: make(chan struct{}),
 		baseCtx:     ctx,
@@ -271,44 +237,8 @@ func New(cfg Config) *Server {
 			}
 		})
 	}
-	if cfg.Metrics != nil && !cfg.NoHistory {
-		// The history ring snapshots the registry on a cadence; the SLO
-		// engine re-evaluates after every snapshot; a burning transition
-		// fires a rate-limited profile capture tagged with the slowest
-		// recent request — the probable culprit.
-		s.hist = history.New(cfg.Metrics, history.Config{
-			Interval:   cfg.HistoryInterval,
-			Slots:      cfg.HistorySlots,
-			OnSnapshot: func() { s.slos.Evaluate() },
-		})
-		objs := slo.ServerObjectives(cfg.SLOLatencyP95, cfg.SLOLatencyP99, !cfg.NoCache)
-		s.slos = slo.New(cfg.Metrics, s.hist, flight, "sufsat", objs, slo.Config{
-			FastWindow: cfg.SLOFastWindow,
-			SlowWindow: cfg.SLOSlowWindow,
-		})
-		s.profiles = obs.NewProfileStore(obs.ProfileConfig{
-			Dir:         cfg.ProfileDir,
-			CPUDuration: cfg.ProfileCPUDuration,
-			MinGap:      cfg.ProfileMinGap,
-			Flight:      flight,
-		})
-		s.slos.OnBurn(func(name string) {
-			reqID, traceID := "", ""
-			if top := s.slow.Entries(); len(top) > 0 {
-				reqID, traceID = top[0].RequestID, top[0].TraceID
-			}
-			if s.profiles.TryCapture("slo:"+name, reqID, traceID) {
-				s.logf("server: slo %s burning, capturing profile", name)
-			}
-		})
-		cfg.Metrics.CounterFunc("sufsat_profile_captures_total",
-			"Trigger-fired profile capture attempts by result.",
-			func() float64 { return float64(s.profiles.Captured()) }, "result", "captured")
-		cfg.Metrics.CounterFunc("sufsat_profile_captures_total",
-			"Trigger-fired profile capture attempts by result.",
-			func() float64 { return float64(s.profiles.Suppressed()) }, "result", "suppressed")
-		s.hist.Start()
-	}
+	s.observer = NewObserver(cfg.ObsConfig, cfg.Metrics, flight, "sufsat",
+		slo.ServerObjectives(cfg.SLOLatencyP95, cfg.SLOLatencyP99, !cfg.NoCache), cfg.Logger)
 	var wg sync.WaitGroup
 	for i := 0; i < cfg.Workers; i++ {
 		wg.Add(1)
@@ -321,8 +251,8 @@ func New(cfg Config) *Server {
 		wg.Wait()
 		close(s.workersDone)
 	}()
-	s.logf("server: %d workers, queue %d, degrade depth %d, default deadline %v, deadline ceiling %v",
-		cfg.Workers, cfg.MaxQueue, cfg.DegradeDepth, cfg.DefaultTimeout, cfg.Limits.MaxTimeout)
+	s.log("server started", "workers", cfg.Workers, "queue", cfg.MaxQueue, "degrade_depth", cfg.DegradeDepth,
+		"default_deadline", cfg.DefaultTimeout, "deadline_ceiling", cfg.Limits.MaxTimeout)
 	return s
 }
 
@@ -339,9 +269,10 @@ func (s *Server) Draining() bool {
 	return s.drain
 }
 
-func (s *Server) logf(format string, args ...any) {
-	if s.cfg.Log != nil {
-		fmt.Fprintf(s.cfg.Log, format+"\n", args...)
+// log writes one lifecycle line (nil Config.Logger = silent).
+func (s *Server) log(msg string, args ...any) {
+	if s.cfg.Logger != nil {
+		s.cfg.Logger.Info(msg, args...)
 	}
 }
 
@@ -400,7 +331,6 @@ func (s *Server) shed(reason string, retryAfter time.Duration) *Response {
 		ShedReason:   reason,
 		RetryAfterMS: retryAfter.Milliseconds(),
 		HTTPStatus:   http.StatusServiceUnavailable,
-		RetryAfter:   retryAfter,
 	}
 }
 
@@ -645,7 +575,7 @@ func (t *task) snapshot(status, errText string) *obs.Snapshot {
 func (s *Server) panicResponse(t *task, v any, queueMS float64) *Response {
 	t.endRequestSpan("error")
 	errText := fmt.Sprintf("panic: %v", v)
-	s.logf("server: contained request panic: %v", v)
+	s.log("contained request panic", "panic", v)
 	return &Response{
 		Status:     core.Error.String(),
 		Error:      errText,
@@ -710,38 +640,22 @@ func (s *Server) Handler() http.Handler {
 		if s.cache != nil {
 			status["cache"] = s.cache.Stats()
 		}
-		if s.hist != nil {
-			status["history"] = map[string]any{
-				"interval_ms": s.hist.Interval().Milliseconds(),
-				"snapshots":   s.hist.Snapshots(),
-			}
-		}
-		if s.slos != nil {
-			status["slo"] = s.slos.Status()
-		}
-		if s.profiles != nil {
-			status["profiles"] = map[string]int64{
-				"captured":   s.profiles.Captured(),
-				"suppressed": s.profiles.Suppressed(),
-			}
-		}
+		s.observer.Status(status)
 		enc.Encode(status) //nolint:errcheck
 	})
 	if s.cfg.Metrics != nil {
 		mux.Handle("/metrics", s.cfg.Metrics.Handler())
 	}
 	mux.Handle("/debug/flightrec", s.flight.Handler())
-	mux.Handle("/debug/slowlog", s.slow.Handler())
-	mux.Handle("/debug/history", s.hist.Handler())
-	mux.Handle("/debug/profiles", s.profiles.Handler())
+	s.observer.Mount(mux)
 	// The outermost recover keeps a handler-level panic (fault-injected or
 	// otherwise) from killing the connection without a structured response.
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if v := recover(); v != nil {
 				s.probe.Panicked()
-				s.logf("server: contained handler panic: %v", v)
-				writeJSON(w, &Response{
+				s.log("contained handler panic", "panic", v)
+				WriteResponse(w, &Response{
 					Status:     core.Error.String(),
 					Error:      fmt.Sprintf("panic: %v", v),
 					HTTPStatus: http.StatusInternalServerError,
@@ -759,48 +673,20 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	handlerStart := time.Now()
+	start := time.Now()
 	// Correlation ID: obs.ResolveRequestID over the header and, once the
 	// body is decoded, its request_id.
-	hdrID, reqID := r.Header.Get("X-Request-Id"), ""
+	hdrID := r.Header.Get("X-Request-Id")
 	// Trace context: a well-formed traceparent header enrolls this request in
 	// the sender's distributed trace (span IDs minted, snapshot stamped); a
 	// missing or malformed header leaves the request untraced.
 	traceID, parentSpan, _ := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader))
-	// respond is the single exit: it fixes the correlation ID, echoes it in
-	// header and body, writes the response and emits the request's metrics,
-	// flight event and log record.
-	respond := func(resp *Response) {
-		if reqID == "" {
-			reqID = obs.ResolveRequestID(hdrID, "")
-		}
-		resp.RequestID = reqID
-		w.Header().Set("X-Request-Id", reqID)
-		writeJSON(w, resp)
-		s.finishRequest(resp, reqID, traceID, time.Since(handlerStart))
-	}
-	// Fast-path shed while draining, before reading the body.
-	if s.Draining() {
-		respond(s.shed(ShedDraining, time.Second))
-		return
-	}
-	if err := s.hook(StageDecode); err != nil {
-		respond(&Response{Status: core.Error.String(), Error: err.Error(), HTTPStatus: http.StatusInternalServerError})
-		return
-	}
-	body, err := readBody(w, r, s.cfg.MaxRequestBytes)
-	if err != nil {
-		s.probe.Malformed()
-		respond(malformed(fmt.Sprintf("read body: %v", err)))
-		return
-	}
 	var req Request
-	if err := json.Unmarshal(body, &req); err != nil {
-		s.probe.Malformed()
-		respond(malformed(fmt.Sprintf("bad JSON: %v", err)))
+	if resp := s.readRequest(w, r, &req); resp != nil {
+		s.respond(w, resp, obs.ResolveRequestID(hdrID, ""), traceID, start)
 		return
 	}
-	reqID = obs.ResolveRequestID(hdrID, req.RequestID)
+	reqID := obs.ResolveRequestID(hdrID, req.RequestID)
 	resp := s.decide(r.Context(), &req, reqID, traceID, parentSpan)
 	if resp == nil {
 		// The client is gone; there is no one to write to.
@@ -808,11 +694,42 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	}
 	if resp.Status != "shed" && resp.Status != "malformed" && !resp.Cached {
 		if err := s.hook(StageRespond); err != nil {
-			respond(&Response{Status: core.Error.String(), Error: err.Error(), HTTPStatus: http.StatusInternalServerError})
-			return
+			resp = hookError(err)
 		}
 	}
-	respond(resp)
+	s.respond(w, resp, reqID, traceID, start)
+}
+
+// readRequest is the front both POST endpoints share: the draining fast
+// path (before the body is read), the decode fault point, the bounded body
+// read and the JSON decode into v. A non-nil result is the rejection to
+// answer with.
+func (s *Server) readRequest(w http.ResponseWriter, r *http.Request, v any) *Response {
+	if s.Draining() {
+		return s.shed(ShedDraining, time.Second)
+	}
+	if err := s.hook(StageDecode); err != nil {
+		return hookError(err)
+	}
+	body, err := readBody(w, r, s.cfg.MaxRequestBytes)
+	if err != nil {
+		s.probe.Malformed()
+		return malformed(fmt.Sprintf("read body: %v", err))
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		s.probe.Malformed()
+		return malformed(fmt.Sprintf("bad JSON: %v", err))
+	}
+	return nil
+}
+
+// respond is the single exit of a /decide-shaped reply: it stamps the
+// correlation ID, writes the response, and emits the request's metrics,
+// flight event, slowlog offer and log record.
+func (s *Server) respond(w http.ResponseWriter, resp *Response, reqID, traceID string, start time.Time) {
+	resp.RequestID = reqID
+	WriteResponse(w, resp)
+	s.finishRequest(resp, reqID, traceID, time.Since(start))
 }
 
 // cachedResponse builds the response for a verdict served from the cache.
@@ -1008,7 +925,7 @@ func (s *Server) decide(ctx context.Context, req *Request, reqID, traceID, paren
 	}
 
 	if err := s.hook(StageAdmit); err != nil {
-		return &Response{Status: core.Error.String(), Error: err.Error(), HTTPStatus: http.StatusInternalServerError}
+		return hookError(err)
 	}
 	if resp := s.admit(t); resp != nil {
 		return resp
@@ -1047,17 +964,13 @@ func (s *Server) finishRequest(resp *Response, reqID, traceID string, total time
 		s.flight.Record(obs.FlightDone, reqID, resp.Status, total.Microseconds(), int64(httpStatus))
 		s.metrics.ObserveRequest(resp.Status, resp.Method,
 			resp.QueueMS/1e3, resp.SolveMS/1e3, total.Seconds())
-		// The slowlog gate is one atomic load; the entry is built only for
-		// requests slower than the current top-K.
-		totalMS := float64(total.Microseconds()) / 1e3
-		if s.slow.Candidate(totalMS) {
+		s.observer.Finish(float64(total.Microseconds())/1e3, func() obs.SlowEntry {
 			e := obs.SlowEntry{
 				RequestID:   reqID,
 				TraceID:     traceID,
 				Status:      resp.Status,
 				Method:      resp.Method,
 				Fingerprint: resp.Fingerprint,
-				TotalMS:     totalMS,
 				Cached:      resp.Cached,
 			}
 			if resp.Telemetry != nil {
@@ -1066,14 +979,8 @@ func (s *Server) finishRequest(resp *Response, reqID, traceID string, total time
 					e.TraceID = resp.Telemetry.TraceID
 				}
 			}
-			s.slow.Observe(e)
-			// Slowlog-admission profile trigger: a request slow enough to
-			// clear the configured bar captures the process at the moment
-			// the slowness is happening, tagged with its correlation IDs.
-			if s.cfg.ProfileSlowMS > 0 && totalMS >= s.cfg.ProfileSlowMS {
-				s.profiles.TryCapture("slowlog", reqID, e.TraceID)
-			}
-		}
+			return e
+		})
 	}
 	if s.cfg.Logger == nil {
 		return
@@ -1127,16 +1034,27 @@ func malformed(msg string) *Response {
 	return &Response{Status: "malformed", Error: msg, HTTPStatus: http.StatusBadRequest}
 }
 
-// writeJSON serializes resp with its transport status and optional
-// Retry-After header.
-func writeJSON(w http.ResponseWriter, resp *Response) {
-	w.Header().Set("Content-Type", "application/json")
-	if resp.RetryAfter > 0 {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", int(math.Ceil(resp.RetryAfter.Seconds()))))
+// hookError is the structured 500 for a server fault point's error.
+func hookError(err error) *Response {
+	return &Response{Status: core.Error.String(), Error: err.Error(), HTTPStatus: http.StatusInternalServerError}
+}
+
+// WriteResponse writes resp as a /decide-shaped reply, on sufserved and
+// sufrouter alike: its HTTP status (200 when unset), X-Request-Id when it
+// carries a correlation ID, and on a 503 Retry-After, RetryAfterMS rounded
+// up to whole seconds.
+func WriteResponse(w http.ResponseWriter, resp *Response) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	if resp.RequestID != "" {
+		h.Set("X-Request-Id", resp.RequestID)
 	}
 	code := resp.HTTPStatus
 	if code == 0 {
 		code = http.StatusOK
+	}
+	if code == http.StatusServiceUnavailable && resp.RetryAfterMS > 0 {
+		h.Set("Retry-After", strconv.FormatInt((resp.RetryAfterMS+999)/1000, 10))
 	}
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(resp) //nolint:errcheck
@@ -1208,12 +1126,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.drain = true
 		close(s.queue)
 		s.mu.Unlock()
-		s.logf("server: draining (%d queued)", len(s.queue))
-		// Stop the history collector and let any in-flight profile capture
-		// finish (bounded by the CPU profile duration) so the drain leaks no
-		// goroutines.
-		s.hist.Stop()
-		s.profiles.Wait()
+		s.log("draining", "queued", len(s.queue))
+		s.observer.Stop()
 	})
 
 	var err error
@@ -1221,7 +1135,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-s.workersDone:
 	case <-ctx.Done():
 		// Deadline: abort in-flight work and wait for the workers to notice.
-		s.logf("server: drain deadline hit, cancelling in-flight requests")
+		s.log("drain deadline hit, cancelling in-flight requests")
 		s.baseCancel()
 		<-s.workersDone
 		err = ctx.Err()
@@ -1247,6 +1161,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			}
 		}
 	}
-	s.logf("server: drained")
+	s.log("drained")
 	return err
 }
